@@ -37,7 +37,7 @@ Result<EvolutionResult> EvolutionEngine::Run(
 
   Timer run_timer;
   EvolutionResult result;
-  result.history.reserve(static_cast<size_t>(config_.generations));
+  result.history.reserve(HistoryReserve(config_.generations));
 
   EVOCAT_RETURN_NOT_OK(EvaluateInitialPopulation(
       evaluator_, config_.incremental_eval, &initial,

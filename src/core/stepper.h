@@ -46,6 +46,17 @@ Status EvaluateInitialPopulation(const metrics::FitnessEvaluator* evaluator,
                                  double* eval_seconds,
                                  const std::atomic<bool>* cancel);
 
+/// \brief Up-front history capacity for a run of `generations`. Capped: the
+/// budget comes from the JobSpec, and reserving it whole would claim
+/// gigabytes for a huge budget that a cancel or an early stop cuts short
+/// (the vector grows geometrically past the cap).
+inline size_t HistoryReserve(int generations) {
+  constexpr int kMaxReserve = 4096;
+  return static_cast<size_t>(
+      generations < 0 ? 0 : (generations < kMaxReserve ? generations
+                                                       : kMaxReserve));
+}
+
 /// \brief Validates a strategy/engine run's inputs (shared by the engine and
 /// every evolution strategy). `min_members` is the strategy's population
 /// floor (the generational loop needs 2).

@@ -122,7 +122,7 @@ Result<core::EvolutionResult> IslandsStrategy::Run(
     island.rng = master.Fork();
     island.next_id = next_id + kIslandIdStride * static_cast<uint64_t>(k);
     island.best_score = island.population.MinScore();
-    island.history.reserve(static_cast<size_t>(config.generations));
+    island.history.reserve(core::HistoryReserve(config.generations));
   }
 
   std::vector<std::unique_ptr<core::GenerationStepper>> steppers;

@@ -65,7 +65,7 @@ Result<core::EvolutionResult> SteadyStateStrategy::Run(
 
   Timer run_timer;
   core::EvolutionResult result;
-  result.history.reserve(static_cast<size_t>(config.generations));
+  result.history.reserve(core::HistoryReserve(config.generations));
   const bool incremental = config.incremental_eval;
 
   EVOCAT_RETURN_NOT_OK(core::EvaluateInitialPopulation(

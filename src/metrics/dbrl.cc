@@ -15,10 +15,12 @@ namespace {
 class BoundDbrl : public BoundMeasure {
  public:
   BoundDbrl(const Dataset& original, const std::vector<int>& attrs)
-      : original_(&original), tables_(original, attrs) {
-    // Pattern clustering of the original rows: every state build (and the
-    // clustered delta state) folds distances per (cluster, group) pair
-    // instead of per row pair — O(C*G*A) instead of O(n^2 * A).
+      : original_(&original),
+        tables_(original, attrs),
+        lattice_(CodeLattice::Of(original, attrs)),
+        sweep_exact_(LinkageSweepExact(tables_)) {
+    // Pattern clustering of the original rows: state builds work per
+    // original cluster instead of per row (see BuildLinkageBest).
     clusters_ = PatternIndex::Build(original, attrs,
                                     ResolveShardCount(GetDataPlane()));
   }
@@ -46,21 +48,15 @@ class BoundDbrl : public BoundMeasure {
     return row;
   }
 
-  /// \brief Fresh fold of one original cluster against every masked pattern
-  /// group (in group id order). Agrees with the per-row scan whenever
-  /// distances are exact ties or separated by more than the linkage epsilon.
-  LinkageRowBest ScanCluster(int64_t cluster, const MaskedGroups& groups) const {
-    LinkageRowBest row;
-    const int32_t* cluster_codes = clusters_.codes(cluster);
-    int64_t num_groups = groups.num_groups();
-    for (int64_t g = 0; g < num_groups; ++g) {
-      int64_t size = groups.group_size(g);
-      if (size <= 0) continue;
-      LinkageAddN(&row,
-                  tables_.RecordDistanceCodes(cluster_codes, groups.codes(g)),
-                  size);
-    }
-    return row;
+  /// \brief Per-cluster linkage records against `groups` (sweep or fold, see
+  /// BuildLinkageBest). Agrees with the per-row scan whenever distances are
+  /// exact ties or separated by more than the linkage epsilon.
+  std::vector<LinkageRowBest> ClusterBest(const MaskedGroups& groups,
+                                          int64_t budget_bytes) const {
+    std::vector<LinkageRowBest> cluster_best;
+    BuildLinkageBest("dbrl", lattice_, sweep_exact_, budget_bytes, clusters_,
+                     groups, tables_, nullptr, &cluster_best);
+    return cluster_best;
   }
 
   const Dataset& original() const { return *original_; }
@@ -70,6 +66,8 @@ class BoundDbrl : public BoundMeasure {
  private:
   const Dataset* original_;
   DistanceTables tables_;
+  CodeLattice lattice_;
+  bool sweep_exact_;
   PatternIndex clusters_;
 };
 
@@ -83,8 +81,10 @@ class BoundDbrl : public BoundMeasure {
 /// sits near 15% of the protected cells — fraction 0.15.
 ///
 /// Init is pattern-clustered: rows sharing a code tuple share their entire
-/// distance profile, so the O(n^2) all-pairs scan collapses to an O(C*G*A)
-/// fold over (original cluster, masked group) pairs, then fans out per row.
+/// distance profile, so the O(n^2) all-pairs scan collapses to one record
+/// per original cluster (lattice sweep or cluster x group fold, see
+/// BuildLinkageBest), then fans out per row. The sweep's scratch budget is
+/// the two per-row record arrays this state holds (core and backup).
 class DbrlState : public MeasureState {
  public:
   DbrlState(const BoundDbrl* bound, const Dataset& masked)
@@ -156,13 +156,8 @@ class DbrlState : public MeasureState {
     const DistanceTables& tables = bound_->tables();
     MaskedGroups groups =
         MaskedGroups::Build(masked, tables.attrs(), shards_);
-    int64_t num_clusters = clusters.num_clusters();
-
-    std::vector<LinkageRowBest> cluster_best(
-        static_cast<size_t>(num_clusters));
-    ParallelFor(0, num_clusters, [&](int64_t c) {
-      cluster_best[static_cast<size_t>(c)] = bound_->ScanCluster(c, groups);
-    });
+    std::vector<LinkageRowBest> cluster_best = bound_->ClusterBest(
+        groups, n * static_cast<int64_t>(2 * sizeof(LinkageRowBest)));
 
     core_.rows.assign(static_cast<size_t>(n), LinkageRowBest{});
     ParallelFor(0, n, [&](int64_t i) {
@@ -270,8 +265,8 @@ class ClusteredDbrlState : public MeasureState {
     });
     ParallelFor(0, num_clusters, [&](int64_t c) {
       if (rescan_[static_cast<size_t>(c)]) {
-        cluster_best_[static_cast<size_t>(c)] =
-            bound_->ScanCluster(c, groups_);
+        cluster_best_[static_cast<size_t>(c)] = FoldLinkage(
+            clusters.codes(c), groups_, tables, /*cand=*/nullptr);
       }
     });
     RefreshScore();
@@ -307,11 +302,9 @@ class ClusteredDbrlState : public MeasureState {
     const DistanceTables& tables = bound_->tables();
     int64_t n = bound_->original().num_rows();
     groups_ = MaskedGroups::Build(masked, tables.attrs(), shards_);
-    int64_t num_clusters = clusters.num_clusters();
-    cluster_best_.assign(static_cast<size_t>(num_clusters), LinkageRowBest{});
-    ParallelFor(0, num_clusters, [&](int64_t c) {
-      cluster_best_[static_cast<size_t>(c)] = bound_->ScanCluster(c, groups_);
-    });
+    // Sweep budget: the per-row self distances and their rebuild backup.
+    cluster_best_ = bound_->ClusterBest(
+        groups_, n * static_cast<int64_t>(2 * sizeof(double)));
     d_self_.assign(static_cast<size_t>(n), 0.0);
     ParallelFor(0, n, [&](int64_t i) {
       d_self_[static_cast<size_t>(i)] = tables.RecordDistanceCodes(

@@ -33,6 +33,20 @@ DistanceTables::DistanceTables(const Dataset& dataset,
   }
 }
 
+DistanceTables DistanceTables::FromValues(
+    std::vector<std::vector<float>> values) {
+  DistanceTables tables;
+  for (auto& matrix : values) {
+    Table table;
+    table.cardinality = static_cast<size_t>(
+        std::llround(std::sqrt(static_cast<double>(matrix.size()))));
+    table.values = std::move(matrix);
+    tables.attrs_.push_back(static_cast<int>(tables.tables_.size()));
+    tables.tables_.push_back(std::move(table));
+  }
+  return tables;
+}
+
 double DistanceTables::RecordDistance(const Dataset& x, int64_t rx,
                                       const Dataset& y, int64_t ry) const {
   double sum = 0.0;

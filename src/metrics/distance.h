@@ -29,6 +29,12 @@ class DistanceTables {
  public:
   DistanceTables(const Dataset& dataset, const std::vector<int>& attrs);
 
+  /// \brief Tables from explicit per-attribute `card x card` value matrices
+  /// (row-major, original code first), bound to positions 0..A-1. For
+  /// kernels that must work on any distance, such as the lattice sweep's
+  /// exactness check.
+  static DistanceTables FromValues(std::vector<std::vector<float>> values);
+
   /// \brief Distance between codes `a` and `b` of bound attribute `i`.
   double At(size_t i, int32_t a, int32_t b) const {
     const auto& t = tables_[i];
@@ -56,7 +62,12 @@ class DistanceTables {
 
   const std::vector<int>& attrs() const { return attrs_; }
 
+  /// \brief Cardinality of bound attribute `i` (the table is card x card).
+  size_t cardinality(size_t i) const { return tables_[i].cardinality; }
+
  private:
+  DistanceTables() = default;
+
   struct Table {
     size_t cardinality;
     std::vector<float> values;

@@ -5,66 +5,73 @@
 namespace evocat {
 namespace metrics {
 
+SegmentDelta::SegmentDelta(const SegmentDelta& other)
+    : cells_(other.cells_), rows_(other.rows_) {
+  RepointRows();
+}
+
+SegmentDelta& SegmentDelta::operator=(const SegmentDelta& other) {
+  if (this != &other) {
+    cells_ = other.cells_;
+    rows_ = other.rows_;
+    RepointRows();
+  }
+  return *this;
+}
+
 SegmentDelta SegmentDelta::FromCells(const std::vector<CellDelta>& cells) {
   SegmentDelta segment;
   // Operator batches arrive row-sorted (flat gene order), so the common case
-  // is an append to the last group; the map covers arbitrary batches. First
-  // pass establishes group order and sizes, second scatters the cells so each
-  // group is contiguous in the flat array.
+  // is an append to the last row; the map covers arbitrary batches. First
+  // pass establishes row order and sizes, second scatters the cells so each
+  // row's slice is contiguous in the flat array.
   std::unordered_map<int64_t, size_t> index;
   for (const CellDelta& delta : cells) {
-    if (!segment.groups_.empty() && segment.groups_.back().row == delta.row) {
-      ++segment.groups_.back().count;
+    if (!segment.rows_.empty() && segment.rows_.back().row == delta.row) {
+      ++segment.rows_.back().cells.count;
       continue;
     }
     auto it = index.find(delta.row);
     if (it == index.end()) {
-      index.emplace(delta.row, segment.groups_.size());
-      segment.groups_.push_back(Group{delta.row, 0, 1});
+      index.emplace(delta.row, segment.rows_.size());
+      segment.rows_.push_back(RowDelta{delta.row, CellSpan{nullptr, 1}});
     } else {
-      ++segment.groups_[it->second].count;
+      ++segment.rows_[it->second].cells.count;
     }
   }
-  int64_t offset = 0;
-  std::vector<int64_t> cursor(segment.groups_.size(), 0);
-  for (size_t s = 0; s < segment.groups_.size(); ++s) {
-    segment.groups_[s].begin = offset;
-    cursor[s] = offset;
-    offset += segment.groups_[s].count;
+  std::vector<size_t> cursor(segment.rows_.size(), 0);
+  size_t offset = 0;
+  for (size_t r = 0; r < segment.rows_.size(); ++r) {
+    cursor[r] = offset;
+    offset += segment.rows_[r].cells.count;
   }
   segment.cells_.resize(cells.size());
   for (const CellDelta& delta : cells) {
-    size_t slot = index[delta.row];
-    segment.cells_[static_cast<size_t>(cursor[slot]++)] = delta;
+    segment.cells_[cursor[index[delta.row]]++] = delta;
   }
-  segment.rows_dirty_ = true;
+  segment.RepointRows();
   return segment;
 }
 
 void SegmentDelta::Append(int64_t row, int attr, int32_t old_code,
                           int32_t new_code) {
+  const size_t capacity = cells_.capacity();
   cells_.push_back(CellDelta{row, attr, old_code, new_code});
-  if (groups_.empty() || groups_.back().row != row) {
-    groups_.push_back(Group{row, static_cast<int64_t>(cells_.size()) - 1, 1});
+  if (rows_.empty() || rows_.back().row != row) {
+    rows_.push_back(RowDelta{row, CellSpan{&cells_.back(), 1}});
   } else {
-    ++groups_.back().count;
+    ++rows_.back().cells.count;
   }
-  rows_dirty_ = true;
+  if (cells_.capacity() != capacity) RepointRows();
 }
 
-const std::vector<RowDelta>& SegmentDelta::rows() const {
-  if (rows_dirty_) {
-    rows_.clear();
-    rows_.reserve(groups_.size());
-    const CellDelta* base = cells_.data();
-    for (const Group& group : groups_) {
-      rows_.push_back(RowDelta{
-          group.row,
-          CellSpan{base + group.begin, static_cast<size_t>(group.count)}});
-    }
-    rows_dirty_ = false;
+void SegmentDelta::RepointRows() {
+  const CellDelta* base = cells_.data();
+  size_t offset = 0;
+  for (RowDelta& row : rows_) {
+    row.cells.data = base + offset;
+    offset += row.cells.count;
   }
-  return rows_;
 }
 
 namespace {

@@ -102,13 +102,20 @@ struct RowDelta {
 /// arbitrary batches. Invariants: at most one cell per (row, attr); every
 /// cell appears in exactly one row group; `old_code` is the pre-batch value.
 ///
-/// Storage is a single flat `CellDelta` array plus {row, begin, count} group
-/// records; the `rows()` view is materialized lazily because appends can
-/// reallocate the flat array (one allocation per view rebuild instead of one
-/// vector per row — the arena piece of the segment path).
+/// Storage is a single flat `CellDelta` array plus the `rows()` view, whose
+/// spans point into it. The view is kept current by every mutation (an
+/// append that reallocates the flat array re-points all spans), so a built
+/// segment is immutable: `rows()` is a plain read, safe to call from every
+/// measure state at once while `FitnessState::ApplyDelta` fans out.
 class SegmentDelta {
  public:
   SegmentDelta() = default;
+  /// Copies re-point the view at their own flat storage; moves keep the
+  /// buffer, so the moved view stays valid as is.
+  SegmentDelta(const SegmentDelta& other);
+  SegmentDelta& operator=(const SegmentDelta& other);
+  SegmentDelta(SegmentDelta&&) = default;
+  SegmentDelta& operator=(SegmentDelta&&) = default;
 
   /// \brief Groups an arbitrary batch by row (first-appearance order). Cells
   /// of one row end up contiguous in `cells()` regardless of input order.
@@ -121,15 +128,13 @@ class SegmentDelta {
   /// \brief Pre-sizes the flat storage (operators know their segment size).
   void Reserve(size_t num_cells, size_t num_rows) {
     cells_.reserve(num_cells);
-    groups_.reserve(num_rows);
     rows_.reserve(num_rows);
+    RepointRows();
   }
 
   void clear() {
     cells_.clear();
-    groups_.clear();
     rows_.clear();
-    rows_dirty_ = false;
   }
 
   bool empty() const { return cells_.empty(); }
@@ -138,22 +143,17 @@ class SegmentDelta {
   /// \brief Flat per-cell view (cell-scoped measures: DBIL, EBIL, ID).
   const std::vector<CellDelta>& cells() const { return cells_; }
 
-  /// \brief Row-transition view (record-scoped measures: CTBIL, linkage).
-  /// Materialized on first use after an append; the returned RowDeltas point
-  /// into this segment's flat storage.
-  const std::vector<RowDelta>& rows() const;
+  /// \brief Row-transition view (record-scoped measures: CTBIL, linkage);
+  /// the RowDeltas point into this segment's flat storage.
+  const std::vector<RowDelta>& rows() const { return rows_; }
 
  private:
-  struct Group {
-    int64_t row = 0;
-    int64_t begin = 0;
-    int64_t count = 0;
-  };
+  /// Points every row span at its slice of `cells_`: rows own consecutive
+  /// slices in row order, so each one starts where the previous one ends.
+  void RepointRows();
 
   std::vector<CellDelta> cells_;
-  std::vector<Group> groups_;
-  mutable std::vector<RowDelta> rows_;
-  mutable bool rows_dirty_ = false;
+  std::vector<RowDelta> rows_;
 };
 
 /// \brief Incremental evaluation state for one masked file under one measure.

@@ -1,6 +1,8 @@
 #include "metrics/plane.h"
 
 #include <algorithm>
+#include <climits>
+#include <cmath>
 #include <mutex>
 
 #include "common/parallel.h"
@@ -43,6 +45,27 @@ obs::Counter* ClusterMissesCounter() {
       "evocat_plane_cluster_misses_total",
       "Masked-group lookups that created a new pattern cluster.");
   return counter;
+}
+
+const char* StateKernelName(StateKernel kernel) {
+  return kernel == StateKernel::kSweep ? "sweep" : "fold";
+}
+
+void CountStateBuild(const char* measure, StateKernel kernel) {
+  obs::MetricsRegistry::Global()
+      .GetCounter("evocat_delta_state_builds_total",
+                  "Linkage state builds and threshold rebuilds, by the kernel "
+                  "that built the per-cluster records (lattice sweep or "
+                  "cluster x group pair fold).",
+                  {{"measure", measure}, {"kernel", StateKernelName(kernel)}})
+      ->Increment();
+}
+
+/// a * b, saturated at INT64_MAX (operands are non-negative).
+int64_t SaturatingMul(int64_t a, int64_t b) {
+  int64_t product = 0;
+  if (__builtin_mul_overflow(a, b, &product)) return INT64_MAX;
+  return product;
 }
 
 }  // namespace
@@ -252,6 +275,344 @@ void MaskedGroups::UndoMoves(const std::vector<Move>& moves) {
     ++sizes_[static_cast<size_t>(it->old_group)];
     row_group_[static_cast<size_t>(it->row)] = it->old_group;
   }
+}
+
+CodeLattice::CodeLattice(std::vector<int64_t> cards)
+    : cards_(std::move(cards)), strides_(cards_.size(), 0) {
+  for (size_t k = cards_.size(); k-- > 0;) {
+    strides_[k] = size_;
+    size_ = SaturatingMul(size_, cards_[k]);
+    sum_cards_ += cards_[k];
+  }
+}
+
+CodeLattice CodeLattice::Of(const Dataset& dataset,
+                            const std::vector<int>& attrs) {
+  std::vector<int64_t> cards;
+  cards.reserve(attrs.size());
+  for (int attr : attrs) {
+    cards.push_back(dataset.schema().attribute(attr).cardinality());
+  }
+  return CodeLattice(std::move(cards));
+}
+
+StateKernel ChooseStateKernel(bool exact, int64_t sweep_cost,
+                              int64_t fold_cost, int64_t scratch_bytes,
+                              int64_t budget_bytes) {
+  return exact && sweep_cost <= fold_cost && scratch_bytes <= budget_bytes
+             ? StateKernel::kSweep
+             : StateKernel::kFold;
+}
+
+bool LinkageSweepExact(const DistanceTables& tables) {
+  const size_t num_attrs = tables.attrs().size();
+  if (num_attrs == 0) return false;
+  // q = 2^min_exp is the largest power of two dividing every nonzero value
+  // (the lowest set mantissa bit); every partial sum is a multiple of q.
+  int min_exp = INT_MAX;
+  double max_sum = 0.0;
+  for (size_t k = 0; k < num_attrs; ++k) {
+    const auto card = static_cast<int32_t>(tables.cardinality(k));
+    double table_max = 0.0;
+    for (int32_t a = 0; a < card; ++a) {
+      for (int32_t b = 0; b < card; ++b) {
+        double v = tables.At(k, a, b);
+        if (!(v >= 0.0) || !std::isfinite(v)) return false;
+        if (v == 0.0) continue;
+        int exp = 0;
+        double mantissa = std::frexp(v, &exp);  // v = mantissa * 2^exp
+        auto bits = static_cast<uint64_t>(std::ldexp(mantissa, 53));
+        min_exp = std::min(min_exp, exp - 53 + __builtin_ctzll(bits));
+        table_max = std::max(table_max, v);
+      }
+    }
+    max_sum += table_max;
+  }
+  if (min_exp == INT_MAX) return true;  // all-zero tables: one sum, 0
+  // Exact sums: every multiple of q up to max_sum is a double. The bound
+  // 2^52 (not 2^53) leaves room for the rounding of max_sum itself.
+  if (std::ldexp(max_sum, -min_exp) >= std::ldexp(1.0, 52)) return false;
+  // Separation: exact sums s < s' differ by at least q, and fl(s / A) is
+  // within a relative 2^-53 of s / A, so the divided distances differ by at
+  // least (q - 2^-52 * max_sum) / A. The 1e-6 slack covers this check's own
+  // rounding.
+  double gap = (std::ldexp(1.0, min_exp) - std::ldexp(max_sum, -52)) /
+               static_cast<double>(num_attrs);
+  return gap > 2.0 * kLinkageEps * (1.0 + 1e-6);
+}
+
+namespace {
+
+bool Candidate(const CandidateMasks* cand, size_t k, int64_t card, int32_t o,
+               int32_t m) {
+  return cand == nullptr ||
+         (*cand)[k][static_cast<size_t>(o) * static_cast<size_t>(card) +
+                    static_cast<size_t>(m)] != 0;
+}
+
+}  // namespace
+
+LinkageRowBest FoldLinkage(const int32_t* codes, const MaskedGroups& groups,
+                           const DistanceTables& tables,
+                           const CandidateMasks* cand) {
+  const size_t num_attrs = tables.attrs().size();
+  LinkageRowBest best;
+  const int64_t num_groups = groups.num_groups();
+  for (int64_t g = 0; g < num_groups; ++g) {
+    int64_t size = groups.group_size(g);
+    if (size <= 0) continue;
+    const int32_t* gcodes = groups.codes(g);
+    bool candidate = true;
+    for (size_t k = 0; k < num_attrs && candidate; ++k) {
+      candidate = Candidate(cand, k,
+                            static_cast<int64_t>(tables.cardinality(k)),
+                            codes[k], gcodes[k]);
+    }
+    if (!candidate) continue;
+    LinkageAddN(&best, tables.RecordDistanceCodes(codes, gcodes), size);
+  }
+  return best;
+}
+
+int64_t LinkageSweepBytes(const CodeLattice& lattice) {
+  return SaturatingMul(lattice.size(),
+                       static_cast<int64_t>(sizeof(double) + sizeof(int32_t)));
+}
+
+std::vector<LinkageRowBest> SweepLinkage(const CodeLattice& lattice,
+                                         const PatternIndex& clusters,
+                                         const MaskedGroups& groups,
+                                         const DistanceTables& tables,
+                                         const CandidateMasks* cand) {
+  const size_t num_attrs = lattice.num_attrs();
+  const int64_t size = lattice.size();
+  // Entry x of the lattice after step k holds, over every non-empty group g
+  // whose codes at attributes >= k equal x's and whose attributes < k are
+  // candidates against x's (original) codes there, the min of the partial
+  // sums At(0, x_0, g_0) + ... + At(k-1, x_{k-1}, g_{k-1}) (added left to
+  // right, as RecordDistanceCodes does) and the total size of the groups
+  // attaining it. After the last step, entry x is cluster x's exact min sum.
+  std::vector<double> sum(static_cast<size_t>(size), 0.0);
+  std::vector<int32_t> count(static_cast<size_t>(size), 0);
+  for (int64_t g = 0; g < groups.num_groups(); ++g) {
+    auto x = static_cast<size_t>(lattice.Index(groups.codes(g)));
+    count[x] = static_cast<int32_t>(groups.group_size(g));
+  }
+  std::vector<double> line_sum;
+  std::vector<int32_t> line_count;
+  for (size_t k = 0; k < num_attrs; ++k) {
+    const int64_t card = lattice.card(k);
+    const int64_t stride = lattice.stride(k);
+    line_sum.resize(static_cast<size_t>(card));
+    line_count.resize(static_cast<size_t>(card));
+    // One line per setting of the other attributes: x = outer + m * stride.
+    for (int64_t block = 0; block < size; block += card * stride) {
+      for (int64_t outer = block; outer < block + stride; ++outer) {
+        for (int64_t m = 0; m < card; ++m) {
+          auto x = static_cast<size_t>(outer + m * stride);
+          line_sum[static_cast<size_t>(m)] = sum[x];
+          line_count[static_cast<size_t>(m)] = count[x];
+        }
+        for (int64_t o = 0; o < card; ++o) {
+          double best = 0.0;
+          int32_t best_count = 0;
+          for (int64_t m = 0; m < card; ++m) {
+            int32_t n = line_count[static_cast<size_t>(m)];
+            if (n == 0) continue;
+            auto oc = static_cast<int32_t>(o);
+            auto mc = static_cast<int32_t>(m);
+            if (!Candidate(cand, k, card, oc, mc)) continue;
+            double s = line_sum[static_cast<size_t>(m)] + tables.At(k, oc, mc);
+            if (best_count == 0 || s < best) {
+              best = s;
+              best_count = n;
+            } else if (s == best) {
+              best_count += n;
+            }
+          }
+          auto x = static_cast<size_t>(outer + o * stride);
+          sum[x] = best;
+          count[x] = best_count;
+        }
+      }
+    }
+  }
+  const double denom = static_cast<double>(num_attrs);
+  std::vector<LinkageRowBest> cluster_best(
+      static_cast<size_t>(clusters.num_clusters()));
+  for (int64_t c = 0; c < clusters.num_clusters(); ++c) {
+    auto x = static_cast<size_t>(lattice.Index(clusters.codes(c)));
+    if (count[x] == 0) continue;  // no candidate: the fold's empty record
+    LinkageRowBest& row = cluster_best[static_cast<size_t>(c)];
+    row.best = sum[x] / denom;
+    row.count = count[x];
+  }
+  return cluster_best;
+}
+
+StateKernel BuildLinkageBest(const char* measure, const CodeLattice& lattice,
+                             bool exact, int64_t budget_bytes,
+                             const PatternIndex& clusters,
+                             const MaskedGroups& groups,
+                             const DistanceTables& tables,
+                             const CandidateMasks* cand,
+                             std::vector<LinkageRowBest>* cluster_best) {
+  const int64_t num_clusters = clusters.num_clusters();
+  StateKernel kernel = ChooseStateKernel(
+      exact, SaturatingMul(lattice.size(), lattice.sum_cards()),
+      SaturatingMul(num_clusters, groups.num_groups()),
+      LinkageSweepBytes(lattice), budget_bytes);
+  if (kernel == StateKernel::kSweep) {
+    *cluster_best = SweepLinkage(lattice, clusters, groups, tables, cand);
+  } else {
+    cluster_best->assign(static_cast<size_t>(num_clusters), LinkageRowBest{});
+    ParallelFor(0, num_clusters, [&](int64_t c) {
+      (*cluster_best)[static_cast<size_t>(c)] =
+          FoldLinkage(clusters.codes(c), groups, tables, cand);
+    });
+  }
+  CountStateBuild(measure, kernel);
+  return kernel;
+}
+
+namespace {
+
+/// Narrow pattern spaces count into a dense 2^A scratch; wider ones sort the
+/// (pattern, group size) pairs and merge runs. Both give the same buckets.
+constexpr size_t kDensePatternAttrs = 12;
+
+/// L * 2^A histogram slots of `SweepPatterns` (saturating).
+int64_t PatternSweepSlots(const CodeLattice& lattice) {
+  if (lattice.num_attrs() >= 62) return INT64_MAX;
+  return SaturatingMul(lattice.size(), int64_t{1} << lattice.num_attrs());
+}
+
+}  // namespace
+
+PatternHistogram FoldPatterns(const int32_t* codes,
+                              const MaskedGroups& groups) {
+  const size_t num_attrs = groups.num_attrs();
+  const int64_t num_groups = groups.num_groups();
+  auto pattern_of = [&](const int32_t* gcodes) {
+    uint32_t pattern = 0;
+    for (size_t k = 0; k < num_attrs; ++k) {
+      if (codes[k] == gcodes[k]) pattern |= (1u << k);
+    }
+    return pattern;
+  };
+  PatternHistogram hist;
+  if (num_attrs <= kDensePatternAttrs) {
+    std::vector<int64_t> scratch(static_cast<size_t>(1) << num_attrs, 0);
+    for (int64_t g = 0; g < num_groups; ++g) {
+      int64_t size = groups.group_size(g);
+      if (size > 0) scratch[pattern_of(groups.codes(g))] += size;
+    }
+    for (size_t p = 0; p < scratch.size(); ++p) {
+      if (scratch[p] != 0) {
+        hist.emplace_back(static_cast<uint32_t>(p),
+                          static_cast<int32_t>(scratch[p]));
+      }
+    }
+    return hist;
+  }
+  std::vector<std::pair<uint32_t, int64_t>> pairs;
+  pairs.reserve(static_cast<size_t>(num_groups));
+  for (int64_t g = 0; g < num_groups; ++g) {
+    int64_t size = groups.group_size(g);
+    if (size > 0) pairs.emplace_back(pattern_of(groups.codes(g)), size);
+  }
+  std::sort(pairs.begin(), pairs.end());
+  for (size_t j = 0; j < pairs.size();) {
+    size_t run = j;
+    int64_t count = 0;
+    while (run < pairs.size() && pairs[run].first == pairs[j].first) {
+      count += pairs[run].second;
+      ++run;
+    }
+    hist.emplace_back(pairs[j].first, static_cast<int32_t>(count));
+    j = run;
+  }
+  return hist;
+}
+
+std::vector<PatternHistogram> SweepPatterns(const CodeLattice& lattice,
+                                            const PatternIndex& clusters,
+                                            const MaskedGroups& groups) {
+  const size_t num_attrs = lattice.num_attrs();
+  const int64_t size = lattice.size();
+  const size_t num_patterns = static_cast<size_t>(1) << num_attrs;
+  // Entry x of the lattice holds a histogram over agreement patterns. After
+  // step k, slot p of entry x counts the groups whose codes at attributes
+  // >= k equal x's and whose agreement with x's (original) codes at
+  // attributes < k is p. Step k splits each line's counts: agreeing on k
+  // means m == o, so out[o][p | bit] = in[o][p] and out[o][p] is the line
+  // total minus in[o][p]. Integer counts, so exact in any order.
+  std::vector<int32_t> hist(static_cast<size_t>(size) * num_patterns, 0);
+  auto slots = [&](int64_t x) {
+    return hist.data() + static_cast<size_t>(x) * num_patterns;
+  };
+  for (int64_t g = 0; g < groups.num_groups(); ++g) {
+    *slots(lattice.Index(groups.codes(g))) =
+        static_cast<int32_t>(groups.group_size(g));
+  }
+  std::vector<int32_t> total;
+  for (size_t k = 0; k < num_attrs; ++k) {
+    const int64_t card = lattice.card(k);
+    const int64_t stride = lattice.stride(k);
+    const size_t bit = static_cast<size_t>(1) << k;  // patterns in use: < bit
+    total.resize(bit);
+    for (int64_t block = 0; block < size; block += card * stride) {
+      for (int64_t outer = block; outer < block + stride; ++outer) {
+        std::fill(total.begin(), total.end(), 0);
+        for (int64_t m = 0; m < card; ++m) {
+          const int32_t* in = slots(outer + m * stride);
+          for (size_t p = 0; p < bit; ++p) total[p] += in[p];
+        }
+        for (int64_t o = 0; o < card; ++o) {
+          int32_t* entry = slots(outer + o * stride);
+          for (size_t p = 0; p < bit; ++p) {
+            entry[p | bit] = entry[p];
+            entry[p] = total[p] - entry[p];
+          }
+        }
+      }
+    }
+  }
+  std::vector<PatternHistogram> cluster_hist(
+      static_cast<size_t>(clusters.num_clusters()));
+  for (int64_t c = 0; c < clusters.num_clusters(); ++c) {
+    const int32_t* entry = slots(lattice.Index(clusters.codes(c)));
+    PatternHistogram& out = cluster_hist[static_cast<size_t>(c)];
+    for (size_t p = 0; p < num_patterns; ++p) {
+      if (entry[p] != 0) out.emplace_back(static_cast<uint32_t>(p), entry[p]);
+    }
+  }
+  return cluster_hist;
+}
+
+StateKernel BuildPatternHistograms(const CodeLattice& lattice,
+                                   int64_t budget_bytes,
+                                   const PatternIndex& clusters,
+                                   const MaskedGroups& groups,
+                                   std::vector<PatternHistogram>* hist) {
+  const int64_t num_clusters = clusters.num_clusters();
+  // Integer counts are exact in any order; the sweep's work is its L x 2^A
+  // slots, each an int32.
+  const int64_t slots = PatternSweepSlots(lattice);
+  StateKernel kernel = ChooseStateKernel(
+      /*exact=*/true, slots, SaturatingMul(num_clusters, groups.num_groups()),
+      SaturatingMul(slots, static_cast<int64_t>(sizeof(int32_t))),
+      budget_bytes);
+  if (kernel == StateKernel::kSweep) {
+    *hist = SweepPatterns(lattice, clusters, groups);
+  } else {
+    hist->assign(static_cast<size_t>(num_clusters), {});
+    ParallelFor(0, num_clusters, [&](int64_t c) {
+      (*hist)[static_cast<size_t>(c)] = FoldPatterns(clusters.codes(c), groups);
+    });
+  }
+  CountStateBuild("prl", kernel);
+  return kernel;
 }
 
 }  // namespace metrics

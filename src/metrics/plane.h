@@ -14,9 +14,16 @@
 ///  - **Pattern clustering** groups rows with identical code tuples over the
 ///    bound attributes. Categorical files at 10^5..10^6 rows carry only
 ///    C << n distinct tuples (the AdultProfile protected attributes admit at
-///    most 16*7*14 = 1568), so the linkage measures' O(n) per-row scans and
-///    O(n^2) inits collapse to O(C) and O(C*G) — the algorithmic win behind
-///    the scale bench gates.
+///    most 16*7*14 = 1568), so the linkage measures' O(n) per-row scans
+///    collapse to O(C) — the algorithmic win behind the scale bench gates.
+///  - **The lattice sweep** builds the DBRL/PRL/RSRL per-cluster records
+///    without pairing every original cluster with every masked group. It
+///    walks the code lattice (every code tuple of the bound attributes, L =
+///    prod of the cardinalities) one attribute at a time, turning that
+///    attribute's masked code into an original code, in O(L * sum K_k) for
+///    the distance measures and O(L * 2^A) for PRL instead of the O(C*G*A)
+///    pair fold. It runs only where it provably returns the fold's bits and
+///    is cheaper; otherwise the fold runs (see `ChooseStateKernel`).
 ///
 /// `DataPlaneConfig` selects the plane per process (states snapshot it at
 /// construction); the default is the legacy row-oriented path.
@@ -27,9 +34,12 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "data/dataset.h"
+#include "metrics/delta.h"
+#include "metrics/distance.h"
 
 namespace evocat {
 namespace metrics {
@@ -165,6 +175,123 @@ class MaskedGroups {
   std::unordered_map<uint64_t, std::vector<int32_t>> buckets_;
   size_t num_attrs_ = 0;
 };
+
+/// \brief Mixed-radix geometry of the code lattice: every code tuple over a
+/// fixed attribute set, indexed row-major (the first bound attribute is the
+/// most significant digit).
+class CodeLattice {
+ public:
+  CodeLattice() = default;
+  explicit CodeLattice(std::vector<int64_t> cards);
+
+  /// \brief The lattice of `attrs`' schema cardinalities.
+  static CodeLattice Of(const Dataset& dataset, const std::vector<int>& attrs);
+
+  size_t num_attrs() const { return cards_.size(); }
+  int64_t card(size_t k) const { return cards_[k]; }
+  int64_t stride(size_t k) const { return strides_[k]; }
+  /// \brief L = prod of the cardinalities, saturated at INT64_MAX (a
+  /// saturated lattice is never swept, so its strides are never read).
+  int64_t size() const { return size_; }
+  int64_t sum_cards() const { return sum_cards_; }
+
+  /// \brief Row-major index of a code tuple (bound order).
+  int64_t Index(const int32_t* codes) const {
+    int64_t index = 0;
+    for (size_t k = 0; k < cards_.size(); ++k) index += codes[k] * strides_[k];
+    return index;
+  }
+
+ private:
+  std::vector<int64_t> cards_;
+  std::vector<int64_t> strides_;
+  int64_t size_ = 1;
+  int64_t sum_cards_ = 0;
+};
+
+/// \brief The kernel that built a linkage state's per-cluster records.
+enum class StateKernel { kSweep, kFold };
+
+/// \brief The sweep-or-fold rule shared by every linkage state build: sweep
+/// only when it provably gives the fold's bits (`exact`), when it is no more
+/// work (`sweep_cost <= fold_cost`), and when its scratch fits within the
+/// per-row state the measure already holds (`scratch_bytes <= budget_bytes`).
+StateKernel ChooseStateKernel(bool exact, int64_t sweep_cost,
+                              int64_t fold_cost, int64_t scratch_bytes,
+                              int64_t budget_bytes);
+
+/// \brief RSRL candidate windows: `(*cand)[k][o * card_k + m]` is nonzero
+/// when original code o and masked code m of bound attribute k lie within
+/// the window. A null mask admits every pair (DBRL).
+using CandidateMasks = std::vector<std::vector<uint8_t>>;
+
+/// \brief Whether the min-plus lattice sweep reproduces the pair fold bit
+/// for bit on these tables. True when every sum of one table value per
+/// attribute is exact in double (all values are multiples of one power of
+/// two q, and the largest sum stays below 2^52 q) and distinct sums, after
+/// the fold's divide by A, land more than 2 * kLinkageEps apart. Then the
+/// fold's epsilon-tie scan is an exact min with exact tie counts, which is
+/// what the sweep computes.
+bool LinkageSweepExact(const DistanceTables& tables);
+
+/// \brief The pair fold: one original code tuple against every non-empty
+/// masked group in group id order (candidate-filtered when `cand` is set).
+/// The reference kernel, and the per-cluster rescan of the delta paths.
+LinkageRowBest FoldLinkage(const int32_t* codes, const MaskedGroups& groups,
+                           const DistanceTables& tables,
+                           const CandidateMasks* cand);
+
+/// \brief Scratch bytes `SweepLinkage` allocates on `lattice` (saturating).
+int64_t LinkageSweepBytes(const CodeLattice& lattice);
+
+/// \brief The lattice kernel: the records `FoldLinkage` returns for every
+/// cluster, by a min-plus sweep with tie counts, one attribute at a time.
+/// Matches the fold bit for bit only when `LinkageSweepExact(tables)` holds;
+/// callers go through `BuildLinkageBest`, which checks.
+std::vector<LinkageRowBest> SweepLinkage(const CodeLattice& lattice,
+                                         const PatternIndex& clusters,
+                                         const MaskedGroups& groups,
+                                         const DistanceTables& tables,
+                                         const CandidateMasks* cand);
+
+/// \brief The DBRL/RSRL state build: one `LinkageRowBest` per original
+/// cluster (self flag clear) against the masked groups, by the sweep when
+/// `ChooseStateKernel` allows it (`exact` is `LinkageSweepExact(tables)`,
+/// computed once at bind) and by the parallel pair fold otherwise. Counts
+/// the build under `evocat_delta_state_builds_total{measure,kernel}`.
+StateKernel BuildLinkageBest(const char* measure, const CodeLattice& lattice,
+                             bool exact, int64_t budget_bytes,
+                             const PatternIndex& clusters,
+                             const MaskedGroups& groups,
+                             const DistanceTables& tables,
+                             const CandidateMasks* cand,
+                             std::vector<LinkageRowBest>* cluster_best);
+
+/// One nonzero agreement-pattern bucket: (pattern bitmask, pair count).
+using PatternCount = std::pair<uint32_t, int32_t>;
+/// Sorted, zero-free agreement-pattern histogram.
+using PatternHistogram = std::vector<PatternCount>;
+
+/// \brief The pair fold for PRL: agreement-pattern histogram (bit k set when
+/// the codes of bound attribute k agree) of one original code tuple against
+/// every non-empty masked group.
+PatternHistogram FoldPatterns(const int32_t* codes,
+                              const MaskedGroups& groups);
+
+/// \brief The lattice kernel for PRL: every cluster's `FoldPatterns`
+/// histogram by an integer sweep (exact in any order).
+std::vector<PatternHistogram> SweepPatterns(const CodeLattice& lattice,
+                                            const PatternIndex& clusters,
+                                            const MaskedGroups& groups);
+
+/// \brief The PRL state build: every cluster's histogram by the sweep when
+/// `ChooseStateKernel` allows it, by the parallel pair fold otherwise;
+/// counted like `BuildLinkageBest`.
+StateKernel BuildPatternHistograms(const CodeLattice& lattice,
+                                   int64_t budget_bytes,
+                                   const PatternIndex& clusters,
+                                   const MaskedGroups& groups,
+                                   std::vector<PatternHistogram>* hist);
 
 /// \brief Deterministic 64-bit hash of a code tuple (shared by the pattern
 /// tables; quality matters only for bucket spread, equality is by compare).

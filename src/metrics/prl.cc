@@ -174,14 +174,31 @@ FellegiSunterModel FitFellegiSunter(const std::vector<double>& pattern_counts,
 
 namespace {
 
+/// Moves `delta` units of count into `pattern`'s bucket, keeping the
+/// histogram sorted and zero-free.
+void Shift(PatternHistogram* hist, uint32_t pattern, int32_t delta) {
+  auto it = std::lower_bound(
+      hist->begin(), hist->end(), pattern,
+      [](const PatternCount& entry, uint32_t p) { return entry.first < p; });
+  if (it != hist->end() && it->first == pattern) {
+    it->second += delta;
+    if (it->second == 0) hist->erase(it);
+  } else {
+    hist->insert(it, PatternCount{pattern, delta});
+  }
+}
+
 class BoundPrl : public BoundMeasure {
  public:
   BoundPrl(const Dataset& original, const std::vector<int>& attrs,
            int em_iterations)
-      : original_(&original), attrs_(attrs), em_iterations_(em_iterations) {
+      : original_(&original),
+        attrs_(attrs),
+        em_iterations_(em_iterations),
+        lattice_(CodeLattice::Of(original, attrs)) {
     // Pattern clustering of the original rows: agreement patterns depend
-    // only on the code tuples, so state builds fold per (cluster, masked
-    // group) pair instead of per row pair.
+    // only on the code tuples, so state builds work per original cluster
+    // instead of per row (see BuildPatternHistograms).
     clusters_ = PatternIndex::Build(original, attrs,
                                     ResolveShardCount(GetDataPlane()));
   }
@@ -277,11 +294,13 @@ class BoundPrl : public BoundMeasure {
   const std::vector<int>& attrs() const { return attrs_; }
   int em_iterations() const { return em_iterations_; }
   const PatternIndex& clusters() const { return clusters_; }
+  const CodeLattice& lattice() const { return lattice_; }
 
  private:
   const Dataset* original_;
   std::vector<int> attrs_;
   int em_iterations_;
+  CodeLattice lattice_;
   PatternIndex clusters_;
 };
 
@@ -403,15 +422,12 @@ class PrlState : public MeasureState {
   double Score() const override { return core_.score; }
 
  private:
-  /// One nonzero histogram bucket: agreement pattern and its pair count.
-  using PatternCount = std::pair<uint32_t, int32_t>;
-
   struct Core {
     /// Sorted nonzero global pattern counts (EM input).
     std::vector<std::pair<uint32_t, double>> counts;
     /// Per original record: sorted sparse (pattern, count) histogram of the
     /// agreement patterns against every masked record.
-    std::vector<std::vector<PatternCount>> hist;
+    std::vector<PatternHistogram> hist;
     double score = 0.0;
   };
 
@@ -429,87 +445,31 @@ class PrlState : public MeasureState {
     double score = 0.0;
     std::vector<Shift> shifts;
     bool rebuilt = false;
-    std::vector<std::vector<PatternCount>> hist_backup;
+    std::vector<PatternHistogram> hist_backup;
     /// Carried EM model snapshot so a reverted apply also rewinds the next
     /// refit's warm-start point (keeps replayed walks bit-reproducible).
     FellegiSunterModel em_model;
     bool warm_em = false;
   };
 
-  /// Moves `delta` units of count into `pattern`'s bucket, keeping the
-  /// histogram sorted and zero-free.
-  static void Shift(std::vector<PatternCount>* hist, uint32_t pattern,
-                    int32_t delta) {
-    auto it = std::lower_bound(
-        hist->begin(), hist->end(), pattern,
-        [](const PatternCount& entry, uint32_t p) { return entry.first < p; });
-    if (it != hist->end() && it->first == pattern) {
-      it->second += delta;
-      if (it->second == 0) hist->erase(it);
-    } else {
-      hist->insert(it, PatternCount{pattern, delta});
-    }
-  }
-
   /// Pattern-clustered build: rows sharing an original code tuple share the
-  /// whole histogram, so one O(G) fold per *cluster* (over the masked
-  /// pattern groups) replaces n O(n) row scans, then fans out per row. The
-  /// bucket counts are integer sums of group sizes — identical to the former
-  /// per-row, per-record counting for any shard count.
+  /// whole histogram, so one histogram per *cluster* (lattice sweep or
+  /// cluster x group fold, see BuildPatternHistograms) replaces n O(n) row
+  /// scans, then fans out per row. The bucket counts are integer sums of
+  /// group sizes — identical to per-row, per-record counting for any shard
+  /// count. The sweep's scratch budget is the per-row histograms this state
+  /// holds (a header plus at least one bucket each).
   void InitFrom(const Dataset& masked) {
     const auto& attrs = bound_->attrs();
     int64_t n = bound_->original().num_rows();
-    size_t num_attrs = attrs.size();
     const PatternIndex& clusters = bound_->clusters();
     MaskedGroups groups = MaskedGroups::Build(masked, attrs, shards_);
-    int64_t num_clusters = clusters.num_clusters();
-    int64_t num_groups = groups.num_groups();
-    // Narrow pattern spaces count into a dense per-cluster scratch; wide
-    // ones sort the cluster's (pattern, group size) pairs and merge. Both
-    // produce the same sorted nonzero buckets.
-    const bool dense_scratch =
-        num_attrs <= 12;  // 2^12 * 8 bytes of scratch per cluster
-    std::vector<std::vector<PatternCount>> cluster_hist(
-        static_cast<size_t>(num_clusters));
-    ParallelFor(0, num_clusters, [&](int64_t c) {
-      auto& hist = cluster_hist[static_cast<size_t>(c)];
-      const int32_t* cluster_codes = clusters.codes(c);
-      if (dense_scratch) {
-        std::vector<int64_t> scratch(static_cast<size_t>(1) << num_attrs, 0);
-        for (int64_t g = 0; g < num_groups; ++g) {
-          int64_t size = groups.group_size(g);
-          if (size <= 0) continue;
-          scratch[bound_->PatternOfCodes(cluster_codes, groups.codes(g))] +=
-              size;
-        }
-        for (size_t p = 0; p < scratch.size(); ++p) {
-          if (scratch[p] != 0) {
-            hist.emplace_back(static_cast<uint32_t>(p),
-                              static_cast<int32_t>(scratch[p]));
-          }
-        }
-      } else {
-        std::vector<std::pair<uint32_t, int64_t>> pairs;
-        pairs.reserve(static_cast<size_t>(num_groups));
-        for (int64_t g = 0; g < num_groups; ++g) {
-          int64_t size = groups.group_size(g);
-          if (size <= 0) continue;
-          pairs.emplace_back(
-              bound_->PatternOfCodes(cluster_codes, groups.codes(g)), size);
-        }
-        std::sort(pairs.begin(), pairs.end());
-        for (size_t j = 0; j < pairs.size();) {
-          size_t run = j;
-          int64_t count = 0;
-          while (run < pairs.size() && pairs[run].first == pairs[j].first) {
-            count += pairs[run].second;
-            ++run;
-          }
-          hist.emplace_back(pairs[j].first, static_cast<int32_t>(count));
-          j = run;
-        }
-      }
-    });
+    std::vector<PatternHistogram> cluster_hist;
+    BuildPatternHistograms(
+        bound_->lattice(),
+        n * static_cast<int64_t>(sizeof(PatternHistogram) +
+                                 sizeof(PatternCount)),
+        clusters, groups, &cluster_hist);
     core_.hist.assign(static_cast<size_t>(n), {});
     ParallelFor(0, n, [&](int64_t i) {
       core_.hist[static_cast<size_t>(i)] =
@@ -774,8 +734,6 @@ class ClusteredPrlState : public MeasureState {
   double Score() const override { return score_; }
 
  private:
-  using PatternCount = std::pair<uint32_t, int32_t>;
-
   struct PselfUndo {
     int64_t row;
     uint32_t old_pattern;
@@ -792,75 +750,22 @@ class ClusteredPrlState : public MeasureState {
     std::vector<Shift> shifts;
     std::vector<PselfUndo> p_self;
     bool rebuilt = false;
-    std::vector<std::vector<PatternCount>> hist_backup;
+    std::vector<PatternHistogram> hist_backup;
     std::vector<uint32_t> p_self_backup;
     /// Carried EM model snapshot — see PrlState::Undo.
     FellegiSunterModel em_model;
     bool warm_em = false;
   };
 
-  static void Shift(std::vector<PatternCount>* hist, uint32_t pattern,
-                    int32_t delta) {
-    auto it = std::lower_bound(
-        hist->begin(), hist->end(), pattern,
-        [](const PatternCount& entry, uint32_t p) { return entry.first < p; });
-    if (it != hist->end() && it->first == pattern) {
-      it->second += delta;
-      if (it->second == 0) hist->erase(it);
-    } else {
-      hist->insert(it, PatternCount{pattern, delta});
-    }
-  }
-
   void InitFrom(const Dataset& masked) {
     const auto& attrs = bound_->attrs();
     int64_t n = bound_->original().num_rows();
-    size_t num_attrs = attrs.size();
     const PatternIndex& clusters = bound_->clusters();
     MaskedGroups groups = MaskedGroups::Build(masked, attrs, shards_);
-    int64_t num_clusters = clusters.num_clusters();
-    int64_t num_groups = groups.num_groups();
-    const bool dense_scratch = num_attrs <= 12;
-    cluster_hist_.assign(static_cast<size_t>(num_clusters), {});
-    ParallelFor(0, num_clusters, [&](int64_t c) {
-      auto& hist = cluster_hist_[static_cast<size_t>(c)];
-      const int32_t* cluster_codes = clusters.codes(c);
-      if (dense_scratch) {
-        std::vector<int64_t> scratch(static_cast<size_t>(1) << num_attrs, 0);
-        for (int64_t g = 0; g < num_groups; ++g) {
-          int64_t size = groups.group_size(g);
-          if (size <= 0) continue;
-          scratch[bound_->PatternOfCodes(cluster_codes, groups.codes(g))] +=
-              size;
-        }
-        for (size_t p = 0; p < scratch.size(); ++p) {
-          if (scratch[p] != 0) {
-            hist.emplace_back(static_cast<uint32_t>(p),
-                              static_cast<int32_t>(scratch[p]));
-          }
-        }
-      } else {
-        std::vector<std::pair<uint32_t, int64_t>> pairs;
-        pairs.reserve(static_cast<size_t>(num_groups));
-        for (int64_t g = 0; g < num_groups; ++g) {
-          int64_t size = groups.group_size(g);
-          if (size <= 0) continue;
-          pairs.emplace_back(
-              bound_->PatternOfCodes(cluster_codes, groups.codes(g)), size);
-        }
-        std::sort(pairs.begin(), pairs.end());
-        for (size_t j = 0; j < pairs.size();) {
-          size_t run = j;
-          int64_t count = 0;
-          while (run < pairs.size() && pairs[run].first == pairs[j].first) {
-            count += pairs[run].second;
-            ++run;
-          }
-          hist.emplace_back(pairs[j].first, static_cast<int32_t>(count));
-          j = run;
-        }
-      }
-    });
+    // Sweep budget: the per-row self patterns and their rebuild backup.
+    BuildPatternHistograms(bound_->lattice(),
+                           n * static_cast<int64_t>(2 * sizeof(uint32_t)),
+                           clusters, groups, &cluster_hist_);
     p_self_.assign(static_cast<size_t>(n), 0);
     ParallelFor(0, n, [&](int64_t i) {
       p_self_[static_cast<size_t>(i)] = bound_->PatternOfCodes(
@@ -1008,7 +913,7 @@ class ClusteredPrlState : public MeasureState {
 
   const BoundPrl* bound_;
   int shards_;
-  std::vector<std::vector<PatternCount>> cluster_hist_;
+  std::vector<PatternHistogram> cluster_hist_;
   std::vector<std::pair<uint32_t, double>> counts_;
   std::vector<uint32_t> p_self_;
   double score_ = 0.0;

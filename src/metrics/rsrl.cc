@@ -20,7 +20,11 @@ class BoundRsrl : public BoundMeasure {
  public:
   BoundRsrl(const Dataset& original, const std::vector<int>& attrs,
             double assumed_p_percent)
-      : original_(&original), attrs_(attrs), tables_(original, attrs) {
+      : original_(&original),
+        attrs_(attrs),
+        tables_(original, attrs),
+        lattice_(CodeLattice::Of(original, attrs)),
+        sweep_exact_(LinkageSweepExact(tables_)) {
     window_ = assumed_p_percent / 100.0 *
               static_cast<double>(original.num_rows());
     for (int attr : attrs_) {
@@ -78,10 +82,23 @@ class BoundRsrl : public BoundMeasure {
   double window() const { return window_; }
   const PatternIndex& clusters() const { return clusters_; }
 
+  /// \brief Per-cluster candidate-filtered linkage records against `groups`
+  /// (sweep or fold, see BuildLinkageBest).
+  std::vector<LinkageRowBest> ClusterBest(const MaskedGroups& groups,
+                                          const CandidateMasks& cand,
+                                          int64_t budget_bytes) const {
+    std::vector<LinkageRowBest> cluster_best;
+    BuildLinkageBest("rsrl", lattice_, sweep_exact_, budget_bytes, clusters_,
+                     groups, tables_, &cand, &cluster_best);
+    return cluster_best;
+  }
+
  private:
   const Dataset* original_;
   std::vector<int> attrs_;
   DistanceTables tables_;
+  CodeLattice lattice_;
+  bool sweep_exact_;
   std::vector<std::vector<double>> original_midranks_;
   double window_ = 0.0;
   PatternIndex clusters_;
@@ -376,38 +393,17 @@ class RsrlState : public MeasureState {
       }
     }
     // Clustered best-match build: rows sharing an original code tuple get
-    // one candidate-filtered scan over the masked pattern groups (O(C*G*A)
-    // instead of the per-row O(n^2*A) scans); the per-row fanout then
-    // reconstructs the self flag from the record's own distance. Same
-    // support sets as ScanRow whenever distinct distances are separated by
-    // more than kLinkageEps (the generic case for table-lookup distances).
+    // one candidate-filtered record (lattice sweep or cluster x group fold,
+    // see BuildLinkageBest) instead of per-row O(n^2*A) scans; the per-row
+    // fanout then reconstructs the self flag from the record's own distance.
+    // Same support sets as ScanRow whenever distinct distances are separated
+    // by more than kLinkageEps (the generic case for table-lookup
+    // distances). Sweep budget: the row records and their undo copy.
     MaskedGroups groups = MaskedGroups::Build(masked, attrs, shards_);
     const PatternIndex& clusters = bound_->clusters();
-    int64_t num_clusters = clusters.num_clusters();
-    int64_t num_groups = groups.num_groups();
-    std::vector<LinkageRowBest> cluster_best(static_cast<size_t>(num_clusters));
-    ParallelFor(0, num_clusters, [&](int64_t c) {
-      const int32_t* orig_codes = clusters.codes(c);
-      LinkageRowBest best;
-      for (int64_t g = 0; g < num_groups; ++g) {
-        int64_t size = groups.group_size(g);
-        if (size <= 0) continue;
-        const int32_t* mask_codes = groups.codes(g);
-        bool candidate = true;
-        for (size_t k = 0; k < attrs.size(); ++k) {
-          auto card = static_cast<size_t>(Cardinality(k));
-          if (!core_.cand[k][static_cast<size_t>(orig_codes[k]) * card +
-                             static_cast<size_t>(mask_codes[k])]) {
-            candidate = false;
-            break;
-          }
-        }
-        if (!candidate) continue;
-        double d = bound_->tables().RecordDistanceCodes(orig_codes, mask_codes);
-        LinkageAddN(&best, d, size);
-      }
-      cluster_best[static_cast<size_t>(c)] = best;
-    });
+    std::vector<LinkageRowBest> cluster_best =
+        bound_->ClusterBest(groups, core_.cand,
+                            n * static_cast<int64_t>(2 * sizeof(LinkageRowBest)));
     core_.rows.assign(static_cast<size_t>(n), LinkageRowBest{});
     ParallelFor(0, n, [&](int64_t i) {
       auto c = static_cast<int64_t>(clusters.cluster_of(i));
@@ -686,7 +682,8 @@ class ClusteredRsrlState : public MeasureState {
     // 6. Rescan clusters whose support emptied, against the new world.
     ParallelFor(0, num_clusters, [&](int64_t c) {
       if (rescan_[static_cast<size_t>(c)]) {
-        core_.cluster_best[static_cast<size_t>(c)] = ScanCluster(c);
+        core_.cluster_best[static_cast<size_t>(c)] =
+            FoldLinkage(clusters.codes(c), groups_, tables, &core_.cand);
       }
     });
 
@@ -802,12 +799,11 @@ class ClusteredRsrlState : public MeasureState {
     groups_ = MaskedGroups::Build(masked, attrs, shards_);
     RebuildGroupsByCode();
     const PatternIndex& clusters = bound_->clusters();
-    int64_t num_clusters = clusters.num_clusters();
-    core_.cluster_best.assign(static_cast<size_t>(num_clusters),
-                              LinkageRowBest{});
-    ParallelFor(0, num_clusters, [&](int64_t c) {
-      core_.cluster_best[static_cast<size_t>(c)] = ScanCluster(c);
-    });
+    // Sweep budget: the per-row self distances and self-candidacy bytes,
+    // each with its undo copy.
+    core_.cluster_best = bound_->ClusterBest(
+        groups_, core_.cand,
+        n * static_cast<int64_t>(2 * (sizeof(double) + sizeof(uint8_t))));
     d_self_.assign(static_cast<size_t>(n), 0.0);
     self_ok_.assign(static_cast<size_t>(n), 0);
     ParallelFor(0, n, [&](int64_t i) {
@@ -819,23 +815,6 @@ class ClusteredRsrlState : public MeasureState {
                        groups_.codes(groups_.group_of(i)));
     });
     RefreshScore();
-  }
-
-  /// Fresh candidate-filtered fold of one original cluster against every
-  /// masked pattern group, in group id order (cluster-granular ScanRow).
-  LinkageRowBest ScanCluster(int64_t c) const {
-    const int32_t* ccodes = bound_->clusters().codes(c);
-    LinkageRowBest best;
-    int64_t num_groups = groups_.num_groups();
-    for (int64_t g = 0; g < num_groups; ++g) {
-      int64_t size = groups_.group_size(g);
-      if (size <= 0) continue;
-      const int32_t* gcodes = groups_.codes(g);
-      if (!AllCandCodes(core_.cand, ccodes, gcodes)) continue;
-      LinkageAddN(&best, bound_->tables().RecordDistanceCodes(ccodes, gcodes),
-                  size);
-    }
-    return best;
   }
 
   /// Serial per-row credit in row order — float-for-float the same sum as

@@ -269,7 +269,8 @@ TEST(SessionTest, RunControlCancelsBeforeAndDuringExecution) {
   canceler.join();
   ASSERT_FALSE(canceled.ok());
   EXPECT_EQ(canceled.status().code(), StatusCode::kCancelled);
-  EXPECT_NE(canceled.status().message().find("generation"), std::string::npos);
+  EXPECT_NE(canceled.status().message().find("generation"), std::string::npos)
+      << canceled.status().ToString();
 
   // The same spec still runs to completion without a control.
   spec.ga.generations = 5;

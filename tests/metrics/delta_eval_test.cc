@@ -17,6 +17,7 @@
 
 #include "../test_util.h"
 #include "common/rng.h"
+#include "common/task_scheduler.h"
 #include "core/operators.h"
 #include "datagen/generator.h"
 #include "metrics/ctbil.h"
@@ -531,6 +532,96 @@ TEST(DeltaEvalTest, CowOffspringKeepParentStateValid) {
                   evaluator->Evaluate(world.masked).score, kTol);
     }
   }
+}
+
+TEST(DeltaEvalTest, SegmentViewIsCurrentAfterEveryAppendAndCopy) {
+  // The row view is built with the cells (no lazy rebuild inside the const
+  // accessor), so it must already be right after each append — including
+  // appends that reallocate the flat storage — and a copy must point into
+  // its own cells, not the source's.
+  SegmentDelta segment;
+  for (int64_t row = 0; row < 40; ++row) {
+    for (int attr = 0; attr < 1 + static_cast<int>(row % 3); ++attr) {
+      segment.Append(row, attr, 0, 1);
+      const auto& rows = segment.rows();
+      ASSERT_EQ(rows.size(), static_cast<size_t>(row + 1));
+      const CellDelta* cursor = segment.cells().data();
+      for (const RowDelta& rd : rows) {
+        ASSERT_EQ(rd.cells.data, cursor);
+        for (const CellDelta& cell : rd.cells) ASSERT_EQ(cell.row, rd.row);
+        cursor += rd.cells.size();
+      }
+      ASSERT_EQ(cursor, segment.cells().data() + segment.num_cells());
+    }
+  }
+  SegmentDelta copy = segment;
+  SegmentDelta assigned;
+  assigned = segment;
+  for (const SegmentDelta* view : {&copy, &assigned}) {
+    ASSERT_EQ(view->rows().size(), segment.rows().size());
+    const CellDelta* cursor = view->cells().data();
+    for (const RowDelta& rd : view->rows()) {
+      ASSERT_EQ(rd.cells.data, cursor);
+      cursor += rd.cells.size();
+    }
+  }
+}
+
+TEST(DeltaEvalTest, HeavySegmentFanOutOnEightWorkers) {
+  // Crossover-sized segments on a small file cross the state's parallel
+  // segment threshold (32 cells here) by themselves, so every apply
+  // evaluates the seven measures concurrently. Most legs stay below the
+  // linkage measures' rebuild thresholds (72+ of the 600 cells), so every
+  // record-scoped measure reads the shared segment's row view at the same
+  // time; every fifth leg is rebuild-sized. Run on an 8-worker scheduler;
+  // every step must match a freshly bound state of the same file, and
+  // reverts must rewind exactly.
+  World world = MakeWorld(91, /*rows=*/200);
+  Rng donor_rng(92);
+  Dataset donor = protection::Pram(0.5)
+                      .Protect(world.original, world.attrs, &donor_rng)
+                      .ValueOrDie();
+  core::GenomeLayout layout(world.attrs, world.original.num_rows());
+  const int64_t genome = layout.Length();
+  FitnessEvaluator::Options options;
+  options.prl_em_iterations = 10;
+  auto evaluator = std::move(FitnessEvaluator::Create(
+                                 world.original, world.attrs, options))
+                       .ValueOrDie();
+
+  TaskScheduler scheduler(8);
+  TaskScheduler::Group group;
+  scheduler.Submit(&group, [&] {
+    Dataset masked = world.masked.Clone();
+    auto state = evaluator->BindState(masked);
+    Rng rng(93);
+    for (int step = 0; step < 400; ++step) {
+      int64_t length = rng.UniformInt(32, step % 5 == 4 ? genome : 64);
+      int64_t start = rng.UniformInt(0, genome - length);
+      Dataset before = masked.Clone();
+      FitnessBreakdown previous = state->breakdown();
+      auto segment = core::CrossoverSegmentSwap(layout, donor, &masked, start,
+                                                start + length - 1);
+      const SegmentDelta shared = segment;  // copies share nothing
+      state->ApplyDelta(masked, shared);
+      FitnessBreakdown fresh = evaluator->BindState(masked)->breakdown();
+      const FitnessBreakdown& got = state->breakdown();
+      for (auto [a, b] : {std::pair{got.ctbil, fresh.ctbil},
+                          {got.dbil, fresh.dbil}, {got.ebil, fresh.ebil},
+                          {got.id, fresh.id}, {got.dbrl, fresh.dbrl},
+                          {got.prl, fresh.prl}, {got.rsrl, fresh.rsrl},
+                          {got.score, fresh.score}}) {
+        ASSERT_NEAR(a, b, kTol) << "step " << step << ", " << length
+                                << " cells";
+      }
+      if (step % 3 == 2) {
+        state->Revert();
+        ASSERT_EQ(state->breakdown().score, previous.score) << "step " << step;
+        masked = std::move(before);
+      }
+    }
+  });
+  scheduler.Wait(&group);
 }
 
 }  // namespace
