@@ -22,16 +22,18 @@
 // Usage: micro_delta_eval [--quick] [--scale] [rows] [engine_generations]
 //   --quick shrinks every scenario for CI smoke jobs (and skips the hard
 //   speedup gates, which assume benchmark-sized inputs).
-//   --scale adds the 100k- and 1M-row data-plane scenarios (packed +
-//   sharded vs legacy path, bit-exact scores, >= 3x at 1M).
+//   --scale adds the 100k- and 1M-row scenarios: single-cell deltas against
+//   a forced per-step rebuild of the same state (>= 3x in aggregate and
+//   >= 2x for RSRL at 1M), every delta score bit-exact against a freshly
+//   bound state of the post-image.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -39,8 +41,6 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/timer.h"
-#include "data/packed_column.h"
-#include "data/stats.h"
 #include "obs/metrics.h"
 #include "core/operators.h"
 #include "datagen/generator.h"
@@ -50,7 +50,6 @@
 #include "metrics/ebil.h"
 #include "metrics/fitness.h"
 #include "metrics/interval_disclosure.h"
-#include "metrics/plane.h"
 #include "metrics/prl.h"
 #include "metrics/rsrl.h"
 #include "protection/pram.h"
@@ -160,18 +159,21 @@ ScaleMeasures() {
 
 struct ScaleResult {
   bench::JsonObject json;
-  /// Aggregate old/new speedup over all seven measures — every measure now
-  /// carries a clustered delta path on the sharded plane (RSRL's landed
-  /// last, so it additionally gets its own gate).
+  /// Aggregate forced-rebuild / delta time over all seven measures, and
+  /// RSRL's own (its clustered delta path has the most moving parts, so it
+  /// gets its own gate).
   double speedup = 0.0;
   double rsrl_speedup = 0.0;
+  /// Largest |delta score - fresh-bind score| over every step and measure.
   double max_abs_diff = 0.0;
 };
 
-/// The scale scenario: the same single-cell mutation walk timed on the
-/// legacy row-oriented plane (the oracle path) and on the packed + sharded
-/// plane, measure by measure. Scores must agree *exactly* (diff == 0) —
-/// the plane is a layout/parallelism change, not a numeric one.
+/// The scale scenario: the same single-cell mutation walk, per measure,
+/// timed as apply + score + revert on two states of one bound measure — one
+/// taking its delta path, one forced to rebuild on every step. Each delta
+/// score must equal a freshly bound state's score of the same post-image
+/// *exactly* (diff == 0): the delta path is a cost saving, not a numeric
+/// change. The fresh binds run outside the timed sections.
 ScaleResult RunScaleScenario(int64_t rows, int num_steps) {
   auto profile = datagen::AdultProfile();
   profile.num_records = rows;
@@ -183,72 +185,62 @@ ScaleResult RunScaleScenario(int64_t rows, int num_steps) {
       protection::Pram(0.5).Protect(original, attrs, &rng).ValueOrDie();
   auto steps = DrawMutations(masked, attrs, num_steps, 0x5CA1E);
 
-  metrics::DataPlaneConfig old_plane;  // legacy row-oriented path
-  metrics::DataPlaneConfig new_plane;
-  new_plane.sharded = true;
-  new_plane.packed = true;
-
-  /// Times apply + score + revert over the walk under the given plane and
-  /// collects the per-step scores.
-  auto run_path = [&](const metrics::Measure& measure,
-                      const metrics::DataPlaneConfig& plane,
-                      std::vector<double>* scores) {
-    metrics::SetDataPlane(plane);
-    auto bound = std::move(measure.Bind(original, attrs)).ValueOrDie();
-    auto state = bound->BindState(masked);
-    double elapsed = 0.0;
+  ScaleResult result;
+  std::printf("# scale scenario: rows=%lld\n", static_cast<long long>(rows));
+  std::printf("scale_measure,rebuild_ms,delta_ms,speedup,max_abs_diff\n");
+  bench::JsonObject measures_json;
+  double rebuild_total = 0.0, delta_total = 0.0;
+  for (const auto& [name, measure] : ScaleMeasures()) {
+    auto bound = std::move(measure->Bind(original, attrs)).ValueOrDie();
+    auto delta_state = bound->BindState(masked);
+    auto rebuild_state = bound->BindState(masked);
+    rebuild_state->set_full_rebuild_threshold(1);
+    double delta_s = 0.0, rebuild_s = 0.0, diff = 0.0;
     for (const MutationStep& step : steps) {
       int32_t old_code = masked.Code(step.row, step.attr);
       masked.SetCode(step.row, step.attr, step.new_code);
       std::vector<metrics::CellDelta> deltas{
           {step.row, step.attr, old_code, step.new_code}};
-      Timer timer;
-      state->ApplyDelta(masked, deltas);
-      scores->push_back(state->Score());
-      state->Revert();
-      elapsed += timer.ElapsedSeconds();
+      Timer delta_timer;
+      delta_state->ApplyDelta(masked, deltas);
+      double delta_score = delta_state->Score();
+      delta_state->Revert();
+      delta_s += delta_timer.ElapsedSeconds();
+      Timer rebuild_timer;
+      rebuild_state->ApplyDelta(masked, deltas);
+      double rebuild_score = rebuild_state->Score();
+      rebuild_state->Revert();
+      rebuild_s += rebuild_timer.ElapsedSeconds();
+      double fresh = bound->BindState(masked)->Score();
+      diff = std::max({diff, std::fabs(delta_score - fresh),
+                       std::fabs(rebuild_score - fresh)});
       masked.SetCode(step.row, step.attr, old_code);
     }
-    return elapsed / static_cast<double>(steps.size());
-  };
-
-  ScaleResult result;
-  std::printf("# scale scenario: rows=%lld\n", static_cast<long long>(rows));
-  std::printf("scale_measure,old_ms,new_ms,speedup,max_abs_diff\n");
-  bench::JsonObject measures_json;
-  double old_total = 0.0, new_total = 0.0;
-  for (const auto& [name, measure] : ScaleMeasures()) {
-    std::vector<double> old_scores, new_scores;
-    double old_s = run_path(*measure, old_plane, &old_scores);
-    double new_s = run_path(*measure, new_plane, &new_scores);
-    double diff = 0.0;
-    for (size_t i = 0; i < old_scores.size(); ++i) {
-      diff = std::max(diff, std::fabs(old_scores[i] - new_scores[i]));
-    }
+    delta_s /= static_cast<double>(steps.size());
+    rebuild_s /= static_cast<double>(steps.size());
     result.max_abs_diff = std::max(result.max_abs_diff, diff);
-    old_total += old_s;
-    new_total += new_s;
-    double speedup = new_s > 0 ? old_s / new_s : 0.0;
+    rebuild_total += rebuild_s;
+    delta_total += delta_s;
+    double speedup = delta_s > 0 ? rebuild_s / delta_s : 0.0;
     if (name == "RSRL") result.rsrl_speedup = speedup;
-    std::printf("%s,%.4f,%.4f,%.1fx,%.3g\n", name.c_str(), old_s * 1e3,
-                new_s * 1e3, speedup, diff);
+    std::printf("%s,%.4f,%.4f,%.1fx,%.3g\n", name.c_str(), rebuild_s * 1e3,
+                delta_s * 1e3, speedup, diff);
     bench::JsonObject one;
-    one.Add("old_eval_seconds", old_s)
-        .Add("new_eval_seconds", new_s)
+    one.Add("rebuild_eval_seconds", rebuild_s)
+        .Add("delta_eval_seconds", delta_s)
         .Add("speedup", speedup)
         .Add("max_abs_diff", diff);
     measures_json.Add(name, one);
   }
-  metrics::SetDataPlane(metrics::DataPlaneConfig{});
-  result.speedup = new_total > 0 ? old_total / new_total : 0.0;
-  std::printf("scale_aggregate,rows=%lld,old_ms=%.3f,new_ms=%.3f,"
+  result.speedup = delta_total > 0 ? rebuild_total / delta_total : 0.0;
+  std::printf("scale_aggregate,rows=%lld,rebuild_ms=%.3f,delta_ms=%.3f,"
               "speedup=%.2fx,max_abs_diff=%.3g\n",
-              static_cast<long long>(rows), old_total * 1e3, new_total * 1e3,
-              result.speedup, result.max_abs_diff);
+              static_cast<long long>(rows), rebuild_total * 1e3,
+              delta_total * 1e3, result.speedup, result.max_abs_diff);
   result.json.Add("rows", rows)
       .Add("measures", measures_json)
-      .Add("old_eval_seconds", old_total)
-      .Add("new_eval_seconds", new_total)
+      .Add("rebuild_eval_seconds", rebuild_total)
+      .Add("delta_eval_seconds", delta_total)
       .Add("speedup", result.speedup)
       .Add("max_abs_diff", result.max_abs_diff);
   return result;
@@ -472,61 +464,6 @@ int main(int argc, char** argv) {
       static_cast<long long>(prl_rows), prl_full_s * 1e3, prl_rebuild_s * 1e3,
       prl_delta_s * 1e3, prl_vs_full, prl_vs_rebuild, prl_diff);
 
-  // Word-walk contingency kernel: AccumulateRangePacked (block word decode +
-  // dense mixed-radix accumulation) against the per-value scalar decode +
-  // hash-map insert it replaced, on a CTBIL-shaped attribute pair. Counts
-  // are integers, so the two cell maps must be identical.
-  double kernel_scalar_s = 1e100, kernel_walk_s = 1e100;
-  bool kernel_cells_equal = true;
-  int64_t kernel_rows = quick ? 200000 : 2000000;
-  {
-    Rng kernel_rng(0xB17);
-    std::vector<int32_t> cards{16, 14};
-    std::vector<PackedColumn> packed;
-    for (int32_t card : cards) {
-      std::vector<int32_t> codes;
-      codes.reserve(static_cast<size_t>(kernel_rows));
-      for (int64_t r = 0; r < kernel_rows; ++r) {
-        codes.push_back(static_cast<int32_t>(kernel_rng.UniformInt(0, card - 1)));
-      }
-      packed.push_back(PackedColumn::Pack(codes, card));
-    }
-    std::vector<const PackedColumn*> cols{&packed[0], &packed[1]};
-    std::unordered_map<uint64_t, int64_t> walk_cells, scalar_cells;
-    const int kKernelReps = 3;
-    for (int rep = 0; rep < kKernelReps; ++rep) {
-      std::unordered_map<uint64_t, int64_t> cells;
-      Timer timer;
-      ContingencyTable::AccumulateRangePacked(cols, 0, kernel_rows, &cells);
-      kernel_walk_s = std::min(kernel_walk_s, timer.ElapsedSeconds());
-      walk_cells = std::move(cells);
-    }
-    for (int rep = 0; rep < kKernelReps; ++rep) {
-      std::unordered_map<uint64_t, int64_t> cells;
-      Timer timer;
-      for (int64_t r = 0; r < kernel_rows; ++r) {
-        uint64_t key =
-            static_cast<uint64_t>(static_cast<uint32_t>(packed[0].Get(r))) &
-            0xFFFFu;
-        key |= (static_cast<uint64_t>(static_cast<uint32_t>(packed[1].Get(r))) &
-                0xFFFFu)
-               << 16;
-        ++cells[key];
-      }
-      kernel_scalar_s = std::min(kernel_scalar_s, timer.ElapsedSeconds());
-      scalar_cells = std::move(cells);
-    }
-    kernel_cells_equal = walk_cells == scalar_cells;
-  }
-  double kernel_speedup =
-      kernel_walk_s > 0 ? kernel_scalar_s / kernel_walk_s : 0.0;
-  std::printf(
-      "ctbil_kernel,rows=%lld,scalar_ms=%.3f,word_walk_ms=%.3f,"
-      "speedup=%.2fx,simd=%d,cells_equal=%d\n",
-      static_cast<long long>(kernel_rows), kernel_scalar_s * 1e3,
-      kernel_walk_s * 1e3, kernel_speedup,
-      PackedColumn::SimdEnabled() ? 1 : 0, kernel_cells_equal ? 1 : 0);
-
   // Engine before/after: identical seeds and generation budget, incremental
   // evaluation off vs on.
   auto dataset_case = experiments::AdultCase();
@@ -578,18 +515,10 @@ int main(int argc, char** argv) {
       .Add("speedup_vs_full", prl_vs_full)
       .Add("speedup_vs_rebuild", prl_vs_rebuild)
       .Add("max_abs_diff", prl_diff);
-  bench::JsonObject kernel_json;
-  kernel_json.Add("rows", kernel_rows)
-      .Add("scalar_seconds", kernel_scalar_s)
-      .Add("word_walk_seconds", kernel_walk_s)
-      .Add("speedup", kernel_speedup)
-      .Add("simd", static_cast<int64_t>(PackedColumn::SimdEnabled() ? 1 : 0))
-      .Add("cells_equal", static_cast<int64_t>(kernel_cells_equal ? 1 : 0));
   json.Add("measures", measures_json)
       .Add("fitness", fitness_json)
       .Add("crossover_segment", segment_json)
       .Add("prl_wide", prl_wide_json)
-      .Add("ctbil_kernel", kernel_json)
       .Add("engine_full", bench::EngineThroughputJson(full_run))
       .Add("engine_incremental", bench::EngineThroughputJson(delta_run))
       .Add("engine_speedup", engine_speedup);
@@ -616,17 +545,8 @@ int main(int argc, char** argv) {
     }
     counters_json.Add("rebuild_fallbacks_total", fallbacks)
         .Add("rebuild_fallbacks", fallback_json);
-    // Delta-plane kernel telemetry: word traffic of the packed bulk kernels,
-    // which decode path served them, and the PRL EM warm-start hit rate.
+    // PRL EM warm-start hit rate.
     counters_json
-        .Add("delta_plane_words_scanned",
-             registry.CounterValue("evocat_delta_plane_words_scanned_total"))
-        .Add("delta_plane_kernel_calls_simd",
-             registry.CounterValue("evocat_delta_plane_kernel_calls_total",
-                                   {{"path", "simd"}}))
-        .Add("delta_plane_kernel_calls_scalar",
-             registry.CounterValue("evocat_delta_plane_kernel_calls_total",
-                                   {{"path", "scalar"}}))
         .Add("em_warm_hits",
              registry.CounterValue("evocat_delta_plane_em_warm_hits_total"))
         .Add("em_cold_starts",
@@ -634,8 +554,8 @@ int main(int argc, char** argv) {
     json.Add("counters", counters_json);
   }
 
-  // Gated 100k- and 1M-row scenarios: the packed + sharded plane against
-  // the legacy path, bit-exact scores required.
+  // Gated 100k- and 1M-row scenarios: delta path against a forced rebuild,
+  // bit-exact against a fresh bind.
   ScaleResult scale_100k, scale_1m;
   if (scale) {
     scale_100k = RunScaleScenario(100000, quick ? 6 : 12);
@@ -655,19 +575,6 @@ int main(int argc, char** argv) {
   if (!all_within_tolerance || fitness_diff > 1e-9 || seg_diff > 1e-9 ||
       prl_diff > 1e-9) {
     std::fprintf(stderr, "FAIL: delta/full disagreement above 1e-9\n");
-    return 1;
-  }
-  if (!kernel_cells_equal) {
-    std::fprintf(stderr,
-                 "FAIL: word-walk contingency kernel disagrees with the "
-                 "scalar decode\n");
-    return 1;
-  }
-  if (!quick && kernel_speedup < 3.0) {
-    std::fprintf(stderr,
-                 "FAIL: word-walk contingency kernel %.2fx below the 3x "
-                 "target vs scalar decode\n",
-                 kernel_speedup);
     return 1;
   }
   if (!quick && rows >= 1000) {
@@ -694,22 +601,22 @@ int main(int argc, char** argv) {
   if (scale) {
     if (scale_100k.max_abs_diff != 0.0 || scale_1m.max_abs_diff != 0.0) {
       std::fprintf(stderr,
-                   "FAIL: packed+sharded plane diverged from the oracle "
+                   "FAIL: delta scores diverged from a fresh bind "
                    "(100k diff %.3g, 1M diff %.3g) — must be exactly 0\n",
                    scale_100k.max_abs_diff, scale_1m.max_abs_diff);
       return 1;
     }
     if (!quick && scale_1m.speedup < 3.0) {
       std::fprintf(stderr,
-                   "FAIL: 1M-row packed+sharded delta eval %.2fx below the "
-                   "3x target\n",
+                   "FAIL: 1M-row delta eval %.2fx below the 3x target vs "
+                   "a forced rebuild\n",
                    scale_1m.speedup);
       return 1;
     }
     if (!quick && scale_1m.rsrl_speedup < 2.0) {
       std::fprintf(stderr,
-                   "FAIL: 1M-row clustered RSRL delta eval %.2fx below the "
-                   "2x target\n",
+                   "FAIL: 1M-row RSRL delta eval %.2fx below the 2x target "
+                   "vs a forced rebuild\n",
                    scale_1m.rsrl_speedup);
       return 1;
     }

@@ -13,10 +13,12 @@
 // to the same serial schedule (speedup ~1.0).
 //
 // Scenario 3 (--scale, gated): one 100k-record Adult-shaped job end to end,
-// on the legacy row-oriented plane and on the packed + sharded data plane.
-// The best individual must be bit-identical — the plane changes layout and
-// parallelism, never results. --scale runs ONLY this scenario (scenarios 1
-// and 2 are the default invocation; the scale CI job shouldn't repeat them).
+// once with the measures' delta paths and once with every measure state
+// forced to rebuild on every offspring (a fresh bind of each post-image).
+// The best individual must be bit-identical — the delta paths save work,
+// never change results — and the wall-clock ratio is the delta paths' win
+// for a whole job. --scale runs ONLY this scenario (scenarios 1 and 2 are
+// the default invocation; the scale CI job shouldn't repeat them).
 //
 // Writes every number to BENCH_session.json.
 
@@ -30,7 +32,6 @@
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "datagen/profile.h"
-#include "metrics/plane.h"
 
 using namespace evocat;
 
@@ -56,9 +57,9 @@ bool SameArtifacts(const std::vector<api::JobSpec>& jobs,
   return true;
 }
 
-/// Scenario 3: a 100k-record job end to end, legacy vs data plane. Returns
-/// false on any job failure or a best-individual mismatch between planes.
-bool RunScaleScenario(double* legacy_seconds, double* plane_seconds) {
+/// Scenario 3: a 100k-record job end to end, delta paths vs forced
+/// rebuilds. Returns false on any job failure or a best-individual mismatch.
+bool RunScaleScenario(double* rebuild_seconds, double* delta_seconds) {
   api::JobSpec big;
   big.name = "scale-100k";
   big.source.kind = api::SourceSpec::Kind::kSynthetic;
@@ -71,42 +72,40 @@ bool RunScaleScenario(double* legacy_seconds, double* plane_seconds) {
   big.outputs.final_population = false;
   big.outputs.history = false;
 
-  metrics::SetDataPlane(metrics::DataPlaneConfig{});
-  api::Session legacy_session;
-  Timer legacy_timer;
-  auto legacy_run = legacy_session.Run(big);
-  *legacy_seconds = legacy_timer.ElapsedSeconds();
-  if (!legacy_run.ok()) {
-    std::fprintf(stderr, "scale legacy: %s\n",
-                 legacy_run.status().ToString().c_str());
+  api::Session delta_session;
+  Timer delta_timer;
+  auto delta_run = delta_session.Run(big);
+  *delta_seconds = delta_timer.ElapsedSeconds();
+  if (!delta_run.ok()) {
+    std::fprintf(stderr, "scale delta: %s\n",
+                 delta_run.status().ToString().c_str());
     return false;
   }
 
-  metrics::DataPlaneConfig plane;
-  plane.sharded = true;
-  plane.packed = true;
-  metrics::SetDataPlane(plane);
-  api::Session plane_session;
-  Timer plane_timer;
-  auto plane_run = plane_session.Run(big);
-  *plane_seconds = plane_timer.ElapsedSeconds();
-  metrics::SetDataPlane(metrics::DataPlaneConfig{});
-  if (!plane_run.ok()) {
-    std::fprintf(stderr, "scale plane: %s\n",
-                 plane_run.status().ToString().c_str());
+  // Any positive fraction this small puts every threshold at one cell.
+  api::JobSpec rebuild = big;
+  rebuild.fitness.delta_rebuild_fraction = 1e-12;
+  api::Session rebuild_session;
+  Timer rebuild_timer;
+  auto rebuild_run = rebuild_session.Run(rebuild);
+  *rebuild_seconds = rebuild_timer.ElapsedSeconds();
+  if (!rebuild_run.ok()) {
+    std::fprintf(stderr, "scale rebuild: %s\n",
+                 rebuild_run.status().ToString().c_str());
     return false;
   }
-  if (!plane_run.ValueOrDie().best_data.SameCodes(
-          legacy_run.ValueOrDie().best_data)) {
+  if (!delta_run.ValueOrDie().best_data.SameCodes(
+          rebuild_run.ValueOrDie().best_data)) {
     std::fprintf(stderr,
-                 "scale-100k: data-plane result differs from legacy run\n");
+                 "scale-100k: delta-path result differs from the "
+                 "forced-rebuild run\n");
     return false;
   }
   std::printf(
-      "scale-100k: legacy: %.2fs  packed+sharded: %.2fs  speedup: %.2fx "
+      "scale-100k: forced rebuild: %.2fs  delta: %.2fs  speedup: %.2fx "
       "(bit-identical)\n",
-      *legacy_seconds, *plane_seconds,
-      *plane_seconds > 0 ? *legacy_seconds / *plane_seconds : 0.0);
+      *rebuild_seconds, *delta_seconds,
+      *delta_seconds > 0 ? *rebuild_seconds / *delta_seconds : 0.0);
   return true;
 }
 
@@ -118,13 +117,13 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--scale") == 0) scale = true;
   }
   if (scale) {
-    double legacy_seconds = 0.0, plane_seconds = 0.0;
-    if (!RunScaleScenario(&legacy_seconds, &plane_seconds)) return 1;
+    double rebuild_seconds = 0.0, delta_seconds = 0.0;
+    if (!RunScaleScenario(&rebuild_seconds, &delta_seconds)) return 1;
     bench::JsonObject summary;
-    summary.Add("scale_100k_legacy_seconds", legacy_seconds);
-    summary.Add("scale_100k_plane_seconds", plane_seconds);
+    summary.Add("scale_100k_rebuild_seconds", rebuild_seconds);
+    summary.Add("scale_100k_delta_seconds", delta_seconds);
     summary.Add("scale_100k_speedup",
-                plane_seconds > 0 ? legacy_seconds / plane_seconds : 0.0);
+                delta_seconds > 0 ? rebuild_seconds / delta_seconds : 0.0);
     Status status = bench::WriteJsonFile("BENCH_session.json", summary);
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());

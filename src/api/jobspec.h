@@ -76,7 +76,7 @@ struct FitnessSpec {
   /// Global override of every measure's rebuild fraction — the share of the
   /// protected cells a segment batch may touch before a measure state
   /// recomputes from scratch. 0 (default) keeps the per-measure defaults
-  /// (counting measures ~1.0, linkage attacks 0.4–0.6).
+  /// (counting measures 1.0; DBRL 0.15, PRL 0.2, RSRL 0.12).
   double delta_rebuild_fraction = 0.0;
   /// Per-measure overrides by registry name; beat the global override.
   /// Serialized as the `rebuild_fractions` object.

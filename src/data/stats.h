@@ -13,16 +13,11 @@
 
 #include "common/result.h"
 #include "data/dataset.h"
-#include "data/packed_column.h"
 
 namespace evocat {
 
 /// \brief Per-category record counts for one attribute (indexed by code).
 std::vector<int64_t> CategoryCounts(const Dataset& dataset, int attr);
-
-/// \brief Per-category record counts of a bit-packed column.
-std::vector<int64_t> CategoryCounts(const PackedColumn& column,
-                                    int32_t cardinality);
 
 /// \brief Per-category relative frequencies (sums to 1 for non-empty data).
 std::vector<double> CategoryFrequencies(const Dataset& dataset, int attr);
@@ -68,12 +63,6 @@ class ContingencyTable {
                               const std::vector<int>& attrs, int64_t begin,
                               int64_t end,
                               std::unordered_map<uint64_t, int64_t>* cells);
-
-  /// \brief `AccumulateRange` over bit-packed columns (one per attribute,
-  /// same order as the subset) — the packed counting path of CTBIL.
-  static void AccumulateRangePacked(
-      const std::vector<const PackedColumn*>& columns, int64_t begin,
-      int64_t end, std::unordered_map<uint64_t, int64_t>* cells);
 
  private:
   std::vector<int> attrs_;

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <unordered_map>
 
-#include "data/packed_column.h"
 #include "data/stats.h"
 #include "metrics/delta.h"
 #include "metrics/plane.h"
@@ -76,10 +75,9 @@ class BoundCtbIl : public BoundMeasure {
 class CtbIlState : public MeasureState {
  public:
   CtbIlState(const BoundCtbIl* bound, const Dataset& masked)
-      : MeasureState(/*default_rebuild_fraction=*/1.0), bound_(bound) {
-    DataPlaneConfig plane = GetDataPlane();
-    shards_ = plane.sharded ? ResolveShardCount(plane) : 1;
-    packed_ = plane.packed;
+      : MeasureState(/*default_rebuild_fraction=*/1.0),
+        bound_(bound),
+        shards_(ResolveShardCount()) {
     // Subsets that contain a given schema attribute.
     for (size_t s = 0; s < bound_->subsets().size(); ++s) {
       for (int attr : bound_->subsets()[s]) {
@@ -88,23 +86,6 @@ class CtbIlState : public MeasureState {
         }
         subsets_of_attr_[static_cast<size_t>(attr)].push_back(s);
       }
-    }
-    if (packed_) {
-      // Bit-packed mirror of the union of bound attributes' masked codes:
-      // maintained cell-wise under deltas, read instead of the int32 columns
-      // on full rebuilds.
-      std::vector<int> mirror_attrs;
-      for (size_t attr = 0; attr < subsets_of_attr_.size(); ++attr) {
-        if (!subsets_of_attr_[attr].empty()) {
-          mirror_attrs.push_back(static_cast<int>(attr));
-        }
-      }
-      mirror_pos_.assign(subsets_of_attr_.size(), -1);
-      for (size_t pos = 0; pos < mirror_attrs.size(); ++pos) {
-        mirror_pos_[static_cast<size_t>(mirror_attrs[pos])] =
-            static_cast<int>(pos);
-      }
-      mirror_ = PackedTable::FromDataset(masked, mirror_attrs);
     }
     InitFrom(masked);
     undo_l1_ = core_.l1;
@@ -116,20 +97,6 @@ class CtbIlState : public MeasureState {
     undo_cells_.clear();
     undo_l1_ = core_.l1;
     undo_score_ = core_.score;
-    if (packed_) {
-      // Mirror first: a threshold rebuild below reads the mirror, so it must
-      // already reflect the post-image.
-      mirror_undo_.clear();
-      for (const CellDelta& delta : segment.cells()) {
-        int pos = delta.attr < static_cast<int>(mirror_pos_.size())
-                      ? mirror_pos_[static_cast<size_t>(delta.attr)]
-                      : -1;
-        if (pos < 0) continue;
-        mirror_undo_.push_back(
-            MirrorUndo{delta.row, static_cast<size_t>(pos), delta.old_code});
-        mirror_.Set(delta.row, static_cast<size_t>(pos), delta.new_code);
-      }
-    }
     if (segment.num_cells() >= full_rebuild_threshold()) {
       backup_tables_ = core_.tables;
       reverted_by_backup_ = true;
@@ -172,12 +139,6 @@ class CtbIlState : public MeasureState {
   }
 
   void RevertSegment() override {
-    if (packed_) {
-      for (auto it = mirror_undo_.rbegin(); it != mirror_undo_.rend(); ++it) {
-        mirror_.Set(it->row, it->pos, it->old_code);
-      }
-      mirror_undo_.clear();
-    }
     if (reverted_by_backup_) {
       core_.tables = backup_tables_;
     } else {
@@ -206,10 +167,10 @@ class CtbIlState : public MeasureState {
   };
 
   /// Row-sharded table build: each shard accumulates a private cell map over
-  /// its contiguous range (from the packed mirror when enabled), merged
-  /// serially in shard index order. Counts are integers, so the merged table
-  /// — and the int64 L1 fold below — is identical to the serial
-  /// `ContingencyTable::Build` for any shard count.
+  /// its contiguous range of the masked columns, merged serially in shard
+  /// index order. Counts are integers, so the merged table — and the int64
+  /// L1 fold below — is identical to the serial `ContingencyTable::Build`
+  /// for any shard count.
   void InitFrom(const Dataset& masked) {
     const auto& subsets = bound_->subsets();
     int64_t n = bound_->num_rows();
@@ -218,25 +179,11 @@ class CtbIlState : public MeasureState {
     for (size_t s = 0; s < subsets.size(); ++s) {
       std::vector<std::unordered_map<uint64_t, int64_t>> partials(
           static_cast<size_t>(shards_));
-      if (packed_) {
-        std::vector<const PackedColumn*> columns;
-        columns.reserve(subsets[s].size());
-        for (int attr : subsets[s]) {
-          columns.push_back(&mirror_.column(static_cast<size_t>(
-              mirror_pos_[static_cast<size_t>(attr)])));
-        }
-        ForEachShard(n, shards_, [&](int shard, RowRange range) {
-          ContingencyTable::AccumulateRangePacked(
-              columns, range.begin, range.end,
-              &partials[static_cast<size_t>(shard)]);
-        });
-      } else {
-        ForEachShard(n, shards_, [&](int shard, RowRange range) {
-          ContingencyTable::AccumulateRange(
-              masked, subsets[s], range.begin, range.end,
-              &partials[static_cast<size_t>(shard)]);
-        });
-      }
+      ForEachShard(n, shards_, [&](int shard, RowRange range) {
+        ContingencyTable::AccumulateRange(
+            masked, subsets[s], range.begin, range.end,
+            &partials[static_cast<size_t>(shard)]);
+      });
       core_.tables[s] = std::move(partials[0]);
       for (int shard = 1; shard < shards_; ++shard) {
         for (const auto& [key, count] : partials[static_cast<size_t>(shard)]) {
@@ -285,20 +232,10 @@ class CtbIlState : public MeasureState {
     double score = 0.0;
   };
 
-  struct MirrorUndo {
-    int64_t row;
-    size_t pos;
-    int32_t old_code;
-  };
-
   const BoundCtbIl* bound_;
   std::vector<std::vector<size_t>> subsets_of_attr_;
   std::vector<size_t> touched_;
-  int shards_ = 1;
-  bool packed_ = false;
-  PackedTable mirror_;
-  std::vector<int> mirror_pos_;  ///< schema attr -> mirror column position
-  std::vector<MirrorUndo> mirror_undo_;
+  int shards_;
   Core core_;
   std::vector<UndoCell> undo_cells_;
   std::vector<int64_t> undo_l1_;

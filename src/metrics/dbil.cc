@@ -16,8 +16,7 @@ class BoundDbIl : public BoundMeasure {
   BoundDbIl(const Dataset& original, const std::vector<int>& attrs)
       : original_(&original),
         tables_(original, attrs),
-        shards_(GetDataPlane().sharded ? ResolveShardCount(GetDataPlane())
-                                       : 1) {}
+        shards_(ResolveShardCount()) {}
 
   double Compute(const Dataset& masked) const override {
     const auto& attrs = tables_.attrs();

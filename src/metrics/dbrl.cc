@@ -21,8 +21,7 @@ class BoundDbrl : public BoundMeasure {
         sweep_exact_(LinkageSweepExact(tables_)) {
     // Pattern clustering of the original rows: state builds work per
     // original cluster instead of per row (see BuildLinkageBest).
-    clusters_ = PatternIndex::Build(original, attrs,
-                                    ResolveShardCount(GetDataPlane()));
+    clusters_ = PatternIndex::Build(original, attrs, ResolveShardCount());
   }
 
   double Compute(const Dataset& masked) const override {
@@ -37,7 +36,7 @@ class BoundDbrl : public BoundMeasure {
   std::unique_ptr<MeasureState> BindState(const Dataset& masked) const override;
 
   /// \brief Fresh linkage of original record `i` against every masked record
-  /// (the row-oriented kernel shared by Compute and state rescans).
+  /// (the row-oriented kernel of the Compute oracle).
   LinkageRowBest ScanRow(const Dataset& masked, int64_t i) const {
     int64_t n = original_->num_rows();
     LinkageRowBest row;
@@ -51,11 +50,10 @@ class BoundDbrl : public BoundMeasure {
   /// \brief Per-cluster linkage records against `groups` (sweep or fold, see
   /// BuildLinkageBest). Agrees with the per-row scan whenever distances are
   /// exact ties or separated by more than the linkage epsilon.
-  std::vector<LinkageRowBest> ClusterBest(const MaskedGroups& groups,
-                                          int64_t budget_bytes) const {
+  std::vector<LinkageRowBest> ClusterBest(const MaskedGroups& groups) const {
     std::vector<LinkageRowBest> cluster_best;
-    BuildLinkageBest("dbrl", lattice_, sweep_exact_, budget_bytes, clusters_,
-                     groups, tables_, nullptr, &cluster_best);
+    BuildLinkageBest("dbrl", lattice_, sweep_exact_, clusters_, groups,
+                     tables_, nullptr, &cluster_best);
     return cluster_best;
   }
 
@@ -71,127 +69,25 @@ class BoundDbrl : public BoundMeasure {
   PatternIndex clusters_;
 };
 
-/// A changed masked record j only perturbs the distances d(., j), so each
-/// original record's linkage updates in O(1) distance evaluations per
-/// changed row; only records whose entire best-match support disappears are
-/// rescanned in full. Cost model: the row-best group maintenance costs
-/// O(n · changed_rows · A) plus rescans whose frequency grows quickly with
-/// the touched-row share (every record whose best match sat in the changed
-/// set rescans in O(n · A)), so the measured break-even against a rebuild
-/// sits near 15% of the protected cells — fraction 0.15.
+/// DBRL's incremental state: one `LinkageRowBest` per *original cluster*
+/// plus each row's self distance. Rows of a cluster share their whole
+/// distance profile, so the cluster record is exactly the per-row record of
+/// every member; scoring walks rows serially in the same order (and with the
+/// same float ops) as `LinkageCreditScore` over per-row records.
 ///
-/// Init is pattern-clustered: rows sharing a code tuple share their entire
-/// distance profile, so the O(n^2) all-pairs scan collapses to one record
-/// per original cluster (lattice sweep or cluster x group fold, see
-/// BuildLinkageBest), then fans out per row. The sweep's scratch budget is
-/// the two per-row record arrays this state holds (core and backup).
-class DbrlState : public MeasureState {
- public:
-  DbrlState(const BoundDbrl* bound, const Dataset& masked)
-      : MeasureState(/*default_rebuild_fraction=*/0.15),
-        bound_(bound),
-        shards_(GetDataPlane().sharded ? ResolveShardCount(GetDataPlane())
-                                       : 1) {
-    InitFrom(masked);
-    backup_ = core_;
-  }
-
-  void ApplySegment(const Dataset& masked_after,
-                    const SegmentDelta& segment) override {
-    backup_ = core_;
-    if (segment.num_cells() >= full_rebuild_threshold()) {
-      InitFrom(masked_after);
-      return;
-    }
-    const auto& row_deltas = segment.rows();
-    if (row_deltas.empty()) return;
-
-    int64_t n = bound_->original().num_rows();
-    const auto& attrs = bound_->tables().attrs();
-    rescan_.assign(static_cast<size_t>(n), 0);
-
-    ParallelFor(0, n, [&](int64_t i) {
-      LinkageRowBest& row = core_.rows[static_cast<size_t>(i)];
-      uint8_t* needs_rescan = &rescan_[static_cast<size_t>(i)];
-      for (const RowDelta& rd : row_deltas) {
-        if (*needs_rescan) break;  // a rescan recomputes the final truth
-        int64_t j = rd.row;
-        // Distances to the pre/post images of changed record j, summed in
-        // bound-attribute order exactly like RecordDistance.
-        double sum_old = 0.0, sum_new = 0.0;
-        for (size_t k = 0; k < attrs.size(); ++k) {
-          int32_t orig_code = bound_->original().Code(i, attrs[k]);
-          sum_old += bound_->tables().At(
-              k, orig_code, rd.OldCode(masked_after, attrs[k]));
-          sum_new += bound_->tables().At(k, orig_code,
-                                         masked_after.Code(j, attrs[k]));
-        }
-        double denom = static_cast<double>(attrs.size());
-        LinkageRemove(&row, sum_old / denom, j == i, needs_rescan);
-        if (!*needs_rescan) LinkageAdd(&row, sum_new / denom, j == i);
-      }
-    });
-
-    ParallelFor(0, n, [&](int64_t i) {
-      if (rescan_[static_cast<size_t>(i)]) {
-        core_.rows[static_cast<size_t>(i)] = bound_->ScanRow(masked_after, i);
-      }
-    });
-    core_.score = LinkageCreditScore(core_.rows);
-  }
-
-  void RevertSegment() override { core_ = backup_; }
-
-  double Score() const override { return core_.score; }
-
- private:
-  struct Core {
-    std::vector<LinkageRowBest> rows;
-    double score = 0.0;
-  };
-
-  void InitFrom(const Dataset& masked) {
-    int64_t n = bound_->original().num_rows();
-    const PatternIndex& clusters = bound_->clusters();
-    const DistanceTables& tables = bound_->tables();
-    MaskedGroups groups =
-        MaskedGroups::Build(masked, tables.attrs(), shards_);
-    std::vector<LinkageRowBest> cluster_best = bound_->ClusterBest(
-        groups, n * static_cast<int64_t>(2 * sizeof(LinkageRowBest)));
-
-    core_.rows.assign(static_cast<size_t>(n), LinkageRowBest{});
-    ParallelFor(0, n, [&](int64_t i) {
-      int32_t c = clusters.cluster_of(i);
-      LinkageRowBest row = cluster_best[static_cast<size_t>(c)];
-      double d_self = tables.RecordDistanceCodes(
-          clusters.codes(c), groups.codes(groups.group_of(i)));
-      row.self =
-          (row.count > 0 && d_self <= row.best + kLinkageEps) ? 1 : 0;
-      core_.rows[static_cast<size_t>(i)] = row;
-    });
-    core_.score = LinkageCreditScore(core_.rows);
-  }
-
-  const BoundDbrl* bound_;
-  int shards_;
-  Core core_;
-  Core backup_;
-  std::vector<uint8_t> rescan_;  ///< per-apply scratch, reused
-};
-
-/// Cluster-level DBRL state (the sharded data plane): instead of n per-row
-/// linkage records it maintains one `LinkageRowBest` per *original cluster*
-/// plus each row's self distance, and updates per delta in O(C*A) instead of
-/// O(n*A). Rows of a cluster share their whole distance profile, so the
-/// cluster record is exactly the per-row record of every member; scoring
-/// walks rows serially in the same order (and with the same float ops) as
-/// `LinkageCreditScore`.
+/// A changed masked record j only perturbs the distances d(., j), so each
+/// cluster record updates in O(A) per changed row (remove the old tuple's
+/// distance, add the new one); only clusters whose entire best-match
+/// support disappears are refolded against the masked groups. The build is
+/// the lattice sweep or the cluster x group fold (see BuildLinkageBest).
+/// Cost model: the rescans grow quickly with the touched-row share, so the
+/// rebuild point sits near 15% of the protected cells — fraction 0.15.
 class ClusteredDbrlState : public MeasureState {
  public:
   ClusteredDbrlState(const BoundDbrl* bound, const Dataset& masked)
       : MeasureState(/*default_rebuild_fraction=*/0.15),
         bound_(bound),
-        shards_(ResolveShardCount(GetDataPlane())) {
+        shards_(ResolveShardCount()) {
     InitFrom(masked);
     undo_.cluster_best = cluster_best_;
     undo_.score = score_;
@@ -242,8 +138,8 @@ class ClusteredDbrlState : public MeasureState {
           clusters.codes(clusters.cluster_of(rd.row)), new_codes);
     }
 
-    // Per-cluster fold, mirroring the row-oriented state's per-row loop
-    // (same remove/add sequence, break on rescan).
+    // Per-cluster fold: the changed rows' remove/add sequence in segment
+    // order, stopping at the first emptied support (a rescan follows).
     rescan_.assign(static_cast<size_t>(num_clusters), 0);
     ParallelFor(0, num_clusters, [&](int64_t c) {
       LinkageRowBest& row = cluster_best_[static_cast<size_t>(c)];
@@ -302,9 +198,7 @@ class ClusteredDbrlState : public MeasureState {
     const DistanceTables& tables = bound_->tables();
     int64_t n = bound_->original().num_rows();
     groups_ = MaskedGroups::Build(masked, tables.attrs(), shards_);
-    // Sweep budget: the per-row self distances and their rebuild backup.
-    cluster_best_ = bound_->ClusterBest(
-        groups_, n * static_cast<int64_t>(2 * sizeof(double)));
+    cluster_best_ = bound_->ClusterBest(groups_);
     d_self_.assign(static_cast<size_t>(n), 0.0);
     ParallelFor(0, n, [&](int64_t i) {
       d_self_[static_cast<size_t>(i)] = tables.RecordDistanceCodes(
@@ -354,10 +248,7 @@ class ClusteredDbrlState : public MeasureState {
 };
 
 std::unique_ptr<MeasureState> BoundDbrl::BindState(const Dataset& masked) const {
-  if (GetDataPlane().sharded) {
-    return std::make_unique<ClusteredDbrlState>(this, masked);
-  }
-  return std::make_unique<DbrlState>(this, masked);
+  return std::make_unique<ClusteredDbrlState>(this, masked);
 }
 
 }  // namespace

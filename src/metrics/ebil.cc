@@ -38,8 +38,7 @@ class BoundEbIl : public BoundMeasure {
   BoundEbIl(const Dataset& original, const std::vector<int>& attrs)
       : original_(&original),
         attrs_(attrs),
-        shards_(GetDataPlane().sharded ? ResolveShardCount(GetDataPlane())
-                                       : 1) {}
+        shards_(ResolveShardCount()) {}
 
   double Compute(const Dataset& masked) const override {
     double sum_attr_loss = 0.0;

@@ -154,7 +154,7 @@ class FitnessEvaluator {
     /// fraction — the share of the protected cells a segment batch may touch
     /// before that state recomputes from scratch instead of updating
     /// incrementally (the cell-scoped counting measures default to 1.0 =
-    /// effectively never; the O(n²) linkage attacks to 0.4–0.6). A positive
+    /// effectively never; DBRL to 0.15, PRL to 0.2, RSRL to 0.12). A positive
     /// value here overrides the default for *every* measure (0 keeps the
     /// per-measure defaults).
     double delta_rebuild_fraction = 0.0;

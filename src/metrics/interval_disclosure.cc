@@ -73,8 +73,7 @@ class IntervalDisclosureState : public MeasureState {
       : MeasureState(/*default_rebuild_fraction=*/1.0),
         bound_(bound),
         attr_pos_(AttrPositions(bound->attrs(), masked.num_attributes())),
-        shards_(GetDataPlane().sharded ? ResolveShardCount(GetDataPlane())
-                                       : 1) {
+        shards_(ResolveShardCount()) {
     InitFrom(masked);
     backup_ = core_;
   }

@@ -212,8 +212,9 @@ class MeasureState {
   void Revert() { RevertSegment(); }
 
   /// \brief Fraction of the protected cells at which this state prefers a
-  /// full rebuild over its incremental update (the measure's cost model;
-  /// ~1.0 for the O(cell) counting measures, ~0.5 for the linkage attacks).
+  /// full rebuild over its incremental update (the measure's cost model:
+  /// 1.0 for the O(cell) counting measures; 0.15 for DBRL, 0.2 for PRL and
+  /// 0.12 for RSRL).
   double rebuild_fraction() const { return rebuild_fraction_; }
   void set_rebuild_fraction(double fraction) {
     rebuild_fraction_ = fraction < 0.0 ? 0.0 : fraction;

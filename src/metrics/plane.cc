@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <climits>
 #include <cmath>
-#include <mutex>
 
 #include "common/parallel.h"
 #include "common/task_scheduler.h"
@@ -14,16 +13,6 @@ namespace evocat {
 namespace metrics {
 
 namespace {
-
-std::mutex& PlaneMutex() {
-  static std::mutex mutex;
-  return mutex;
-}
-
-DataPlaneConfig& PlaneConfig() {
-  static DataPlaneConfig config;
-  return config;
-}
 
 obs::Histogram* ShardScanSecondsHistogram() {
   static obs::Histogram* histogram =
@@ -68,21 +57,17 @@ int64_t SaturatingMul(int64_t a, int64_t b) {
   return product;
 }
 
+/// The sweep's scratch budget: kSweepBytesPerRow per original row.
+int64_t SweepBudgetBytes(const PatternIndex& clusters) {
+  return SaturatingMul(kSweepBytesPerRow, clusters.num_rows());
+}
+
 }  // namespace
 
-DataPlaneConfig GetDataPlane() {
-  std::lock_guard<std::mutex> lock(PlaneMutex());
-  return PlaneConfig();
-}
-
-void SetDataPlane(const DataPlaneConfig& config) {
-  std::lock_guard<std::mutex> lock(PlaneMutex());
-  PlaneConfig() = config;
-}
-
-int ResolveShardCount(const DataPlaneConfig& config) {
-  if (config.shards > 0) return config.shards;
-  int workers = TaskScheduler::Shared().num_workers();
+int ResolveShardCount() {
+  TaskScheduler* current = TaskScheduler::Current();
+  int workers = current != nullptr ? current->num_workers()
+                                   : TaskScheduler::Shared().num_workers();
   return workers < 1 ? 1 : workers;
 }
 
@@ -451,8 +436,7 @@ std::vector<LinkageRowBest> SweepLinkage(const CodeLattice& lattice,
 }
 
 StateKernel BuildLinkageBest(const char* measure, const CodeLattice& lattice,
-                             bool exact, int64_t budget_bytes,
-                             const PatternIndex& clusters,
+                             bool exact, const PatternIndex& clusters,
                              const MaskedGroups& groups,
                              const DistanceTables& tables,
                              const CandidateMasks* cand,
@@ -461,7 +445,7 @@ StateKernel BuildLinkageBest(const char* measure, const CodeLattice& lattice,
   StateKernel kernel = ChooseStateKernel(
       exact, SaturatingMul(lattice.size(), lattice.sum_cards()),
       SaturatingMul(num_clusters, groups.num_groups()),
-      LinkageSweepBytes(lattice), budget_bytes);
+      LinkageSweepBytes(lattice), SweepBudgetBytes(clusters));
   if (kernel == StateKernel::kSweep) {
     *cluster_best = SweepLinkage(lattice, clusters, groups, tables, cand);
   } else {
@@ -591,7 +575,6 @@ std::vector<PatternHistogram> SweepPatterns(const CodeLattice& lattice,
 }
 
 StateKernel BuildPatternHistograms(const CodeLattice& lattice,
-                                   int64_t budget_bytes,
                                    const PatternIndex& clusters,
                                    const MaskedGroups& groups,
                                    std::vector<PatternHistogram>* hist) {
@@ -602,7 +585,7 @@ StateKernel BuildPatternHistograms(const CodeLattice& lattice,
   StateKernel kernel = ChooseStateKernel(
       /*exact=*/true, slots, SaturatingMul(num_clusters, groups.num_groups()),
       SaturatingMul(slots, static_cast<int64_t>(sizeof(int32_t))),
-      budget_bytes);
+      SweepBudgetBytes(clusters));
   if (kernel == StateKernel::kSweep) {
     *hist = SweepPatterns(lattice, clusters, groups);
   } else {

@@ -1,32 +1,31 @@
 /// \file plane.h
-/// \brief The scale data plane: shard geometry and pattern clustering.
+/// \brief The data plane: shard geometry, pattern clustering and the lattice
+/// sweep that every incremental measure state builds on.
 ///
-/// Two orthogonal switches make the measures production-scale without
-/// changing a single score bit:
+/// There is one plane; production, tests and benches all run it. Three
+/// pieces make the measures production-scale without changing a score bit:
 ///
-///  - **Sharding** splits row ranges contiguously across the
-///    `TaskScheduler` so state (re)builds within *one* individual
-///    parallelize. Every shard produces integer partials (counts, joint
-///    tables, insertion-ordered pattern tables) merged serially in shard
-///    index order, so the merged result is bit-identical to a serial scan
-///    for *any* shard count — the invariant the shard-determinism tests
-///    pin down.
+///  - **Sharding** splits row ranges contiguously across the scheduler that
+///    runs the caller (`ResolveShardCount`) so state (re)builds within *one*
+///    individual parallelize. Every shard produces integer partials (counts,
+///    joint tables, insertion-ordered pattern tables) merged serially in
+///    shard index order, so the merged result is bit-identical to a serial
+///    scan for *any* shard count — the invariant the shard-determinism tests
+///    pin down by running the same walk on 1-, 3- and 8-worker schedulers.
 ///  - **Pattern clustering** groups rows with identical code tuples over the
 ///    bound attributes. Categorical files at 10^5..10^6 rows carry only
 ///    C << n distinct tuples (the AdultProfile protected attributes admit at
-///    most 16*7*14 = 1568), so the linkage measures' O(n) per-row scans
-///    collapse to O(C) — the algorithmic win behind the scale bench gates.
-///  - **The lattice sweep** builds the DBRL/PRL/RSRL per-cluster records
-///    without pairing every original cluster with every masked group. It
-///    walks the code lattice (every code tuple of the bound attributes, L =
-///    prod of the cardinalities) one attribute at a time, turning that
-///    attribute's masked code into an original code, in O(L * sum K_k) for
-///    the distance measures and O(L * 2^A) for PRL instead of the O(C*G*A)
-///    pair fold. It runs only where it provably returns the fold's bits and
-///    is cheaper; otherwise the fold runs (see `ChooseStateKernel`).
-///
-/// `DataPlaneConfig` selects the plane per process (states snapshot it at
-/// construction); the default is the legacy row-oriented path.
+///    most 16*7*14 = 1568), so the DBRL/PRL/RSRL states keep one record per
+///    original cluster and their O(n) per-row scans collapse to O(C).
+///  - **The lattice sweep** builds those per-cluster records without pairing
+///    every original cluster with every masked group. It walks the code
+///    lattice (every code tuple of the bound attributes, L = prod of the
+///    cardinalities) one attribute at a time, turning that attribute's
+///    masked code into an original code, in O(L * sum K_k) for the distance
+///    measures and O(L * 2^A) for PRL instead of the O(C*G*A) pair fold. It
+///    runs only where it provably returns the fold's bits, is cheaper, and
+///    its scratch fits in `kSweepBytesPerRow` bytes per original row;
+///    otherwise the fold runs (see `ChooseStateKernel`).
 
 #ifndef EVOCAT_METRICS_PLANE_H_
 #define EVOCAT_METRICS_PLANE_H_
@@ -44,26 +43,12 @@
 namespace evocat {
 namespace metrics {
 
-/// \brief Process-wide data-plane selection.
-struct DataPlaneConfig {
-  /// Row-sharded state builds + pattern-clustered linkage states.
-  bool sharded = false;
-  /// Bit-packed column mirrors on the counting measures (CTBIL).
-  bool packed = false;
-  /// Shard count; <= 0 resolves to the TaskScheduler's worker count.
-  int shards = 0;
-};
-
-/// \brief Current configuration (copied — callers snapshot at bind time).
-DataPlaneConfig GetDataPlane();
-
-/// \brief Replaces the process-wide configuration. Not thread-safe against
-/// concurrent binds; flip it between evaluations (tests, benches, startup).
-void SetDataPlane(const DataPlaneConfig& config);
-
-/// \brief Shard count a config resolves to: the explicit value when
-/// positive, otherwise the scheduler's worker count (never below 1).
-int ResolveShardCount(const DataPlaneConfig& config);
+/// \brief Shard count for a state build: the worker count of the scheduler
+/// whose worker runs the caller (`TaskScheduler::Current()`), or of the
+/// process-wide scheduler on any other thread. Never below 1. A job on a
+/// 1-worker daemon therefore builds in one shard instead of splitting its
+/// scans into hardware-many shards that run serially on its one worker.
+int ResolveShardCount();
 
 /// \brief A contiguous row range [begin, end).
 struct RowRange {
@@ -101,6 +86,7 @@ class PatternIndex {
   int64_t num_clusters() const {
     return static_cast<int64_t>(sizes_.size());
   }
+  int64_t num_rows() const { return static_cast<int64_t>(row_cluster_.size()); }
   size_t num_attrs() const { return num_attrs_; }
 
   int32_t cluster_of(int64_t row) const {
@@ -212,10 +198,17 @@ class CodeLattice {
 /// \brief The kernel that built a linkage state's per-cluster records.
 enum class StateKernel { kSweep, kFold };
 
+/// \brief Scratch bytes a state build may spend on the lattice sweep per
+/// original row. One rule for DBRL, PRL and RSRL: a sweep whose scratch
+/// exceeds 32 B x rows would outweigh the per-row state the build produces,
+/// so the fold runs instead.
+inline constexpr int64_t kSweepBytesPerRow = 32;
+
 /// \brief The sweep-or-fold rule shared by every linkage state build: sweep
 /// only when it provably gives the fold's bits (`exact`), when it is no more
-/// work (`sweep_cost <= fold_cost`), and when its scratch fits within the
-/// per-row state the measure already holds (`scratch_bytes <= budget_bytes`).
+/// work (`sweep_cost <= fold_cost`), and when its scratch fits the budget
+/// (`scratch_bytes <= budget_bytes`; the builds pass kSweepBytesPerRow x
+/// rows).
 StateKernel ChooseStateKernel(bool exact, int64_t sweep_cost,
                               int64_t fold_cost, int64_t scratch_bytes,
                               int64_t budget_bytes);
@@ -257,11 +250,11 @@ std::vector<LinkageRowBest> SweepLinkage(const CodeLattice& lattice,
 /// \brief The DBRL/RSRL state build: one `LinkageRowBest` per original
 /// cluster (self flag clear) against the masked groups, by the sweep when
 /// `ChooseStateKernel` allows it (`exact` is `LinkageSweepExact(tables)`,
-/// computed once at bind) and by the parallel pair fold otherwise. Counts
-/// the build under `evocat_delta_state_builds_total{measure,kernel}`.
+/// computed once at bind; budget `kSweepBytesPerRow` x the original's rows)
+/// and by the parallel pair fold otherwise. Counts the build under
+/// `evocat_delta_state_builds_total{measure,kernel}`.
 StateKernel BuildLinkageBest(const char* measure, const CodeLattice& lattice,
-                             bool exact, int64_t budget_bytes,
-                             const PatternIndex& clusters,
+                             bool exact, const PatternIndex& clusters,
                              const MaskedGroups& groups,
                              const DistanceTables& tables,
                              const CandidateMasks* cand,
@@ -285,10 +278,9 @@ std::vector<PatternHistogram> SweepPatterns(const CodeLattice& lattice,
                                             const MaskedGroups& groups);
 
 /// \brief The PRL state build: every cluster's histogram by the sweep when
-/// `ChooseStateKernel` allows it, by the parallel pair fold otherwise;
-/// counted like `BuildLinkageBest`.
+/// `ChooseStateKernel` allows it (same budget as `BuildLinkageBest`), by the
+/// parallel pair fold otherwise; counted like `BuildLinkageBest`.
 StateKernel BuildPatternHistograms(const CodeLattice& lattice,
-                                   int64_t budget_bytes,
                                    const PatternIndex& clusters,
                                    const MaskedGroups& groups,
                                    std::vector<PatternHistogram>* hist);

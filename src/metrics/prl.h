@@ -88,12 +88,12 @@ FellegiSunterModel FitFellegiSunter(
 /// trajectory's own frozen point: near convergence each EM sweep moves the
 /// parameters by less than one ulp, so the map freezes anywhere on a small
 /// plateau (~1e-4 wide in the parameters) and the two trajectories stop at
-/// different points on it. The delta states carry the same model on every
-/// data plane, so plane-vs-plane scores stay bit-identical — the invariant
-/// the scale oracle and the bench's max_abs_diff == 0 gates check. Against
-/// a cold from-scratch fit the linkage credit only moves if a pattern
-/// weight crosses a tie boundary, which the delta suite's 1e-9 checks
-/// guard on real walks.
+/// different points on it. The delta state carries the model through every
+/// apply and revert, so a replayed walk reproduces its scores bit for bit at
+/// any shard count — the invariant the shard-determinism tests check.
+/// Against a cold from-scratch fit the linkage credit only moves if a
+/// pattern weight crosses a tie boundary, which the delta suite's 1e-9
+/// checks guard on real walks.
 FellegiSunterModel FitFellegiSunterWarm(
     const std::vector<std::pair<uint32_t, double>>& pattern_counts,
     int num_attrs, int em_iterations, const FellegiSunterModel& warm_start,

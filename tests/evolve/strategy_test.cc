@@ -13,7 +13,6 @@
 
 #include "../test_util.h"
 #include "api/session.h"
-#include "common/task_scheduler.h"
 #include "core/engine.h"
 #include "datagen/generator.h"
 #include "evolve/strategy.h"
@@ -72,14 +71,11 @@ Result<core::EvolutionResult> RunOnScheduler(
     int threads, const EvolutionStrategy& strategy,
     const StrategyFixture& fixture, const core::GaConfig& config,
     std::vector<core::Individual> initial) {
-  TaskScheduler scheduler(threads);
   Result<core::EvolutionResult> result(Status::Internal("not executed"));
-  TaskScheduler::Group group;
-  scheduler.Submit(&group, [&] {
+  evocat::testing::RunOnWorkers(threads, [&] {
     result = strategy.Run(fixture.evaluator.get(), config, std::move(initial),
                           nullptr);
   });
-  scheduler.Wait(&group);
   return result;
 }
 
@@ -180,12 +176,12 @@ TEST(SteadyStateStrategyTest, DeterministicAcross1And4Workers) {
   ExpectIdenticalResults(serial, parallel);
 }
 
-TEST(SteadyStateStrategyTest, DataPlaneShardCountsAreBitIdentical) {
-  // A full GA run under the packed + sharded data plane at shard counts
-  // {1, 3, 8} must match the legacy row-oriented plane bit-for-bit: same
-  // history, same accepted offspring, same best individual. The run's
-  // crossovers regularly exceed the measures' rebuild thresholds, so the
-  // rebuild-sized path is covered too.
+TEST(SteadyStateStrategyTest, ShardCountsAreBitIdentical) {
+  // A full GA run whose evaluator and states bind on 1-, 3- and 8-worker
+  // schedulers — so every state build splits into that many shards — must
+  // match bit-for-bit: same history, same accepted offspring, same best
+  // individual. The run's crossovers regularly exceed the measures' rebuild
+  // thresholds, so the rebuild-sized path is covered too.
   core::GaConfig config;
   config.generations = 25;
   config.seed = 77;
@@ -193,21 +189,19 @@ TEST(SteadyStateStrategyTest, DataPlaneShardCountsAreBitIdentical) {
                       .Create("steady_state", {{"lambda", "4"}})
                       .ValueOrDie();
 
-  auto run_with = [&](const metrics::DataPlaneConfig& plane) {
-    evocat::testing::DataPlaneGuard guard(plane);
-    StrategyFixture fixture;  // evaluator + states bind under `plane`
-    return std::move(strategy->Run(fixture.evaluator.get(), config,
-                                   fixture.SeedPopulation(9), nullptr))
-        .ValueOrDie();
+  auto run_on = [&](int workers) {
+    Result<core::EvolutionResult> result(Status::Internal("not executed"));
+    evocat::testing::RunOnWorkers(workers, [&] {
+      StrategyFixture fixture;  // evaluator binds on this scheduler
+      result = strategy->Run(fixture.evaluator.get(), config,
+                             fixture.SeedPopulation(9), nullptr);
+    });
+    return std::move(result).ValueOrDie();
   };
 
-  auto baseline = run_with(metrics::DataPlaneConfig{});
-  for (int shards : {1, 3, 8}) {
-    metrics::DataPlaneConfig plane;
-    plane.sharded = true;
-    plane.packed = true;
-    plane.shards = shards;
-    auto result = run_with(plane);
+  auto baseline = run_on(1);
+  for (int workers : {3, 8}) {
+    auto result = run_on(workers);
     ExpectIdenticalResults(baseline, result);
   }
 }

@@ -26,6 +26,7 @@
 #include "metrics/ebil.h"
 #include "metrics/fitness.h"
 #include "metrics/interval_disclosure.h"
+#include "metrics/plane.h"
 #include "metrics/prl.h"
 #include "metrics/rsrl.h"
 #include "protection/pram.h"
@@ -421,43 +422,59 @@ std::vector<std::unique_ptr<Measure>> AllMeasuresForShardTests() {
 }
 
 /// A fixed walk (mutation batches, a revert, then a rebuild-sized crossover
-/// segment and its revert) under the given data plane; returns every score
-/// the state reported. Bit-identical traces across planes is the contract.
+/// segment and its revert) run on a `workers`-thread scheduler, so every
+/// state build splits into `workers` shards; returns every score the state
+/// reported. With `check` set, each score is also checked against the
+/// O(n^2) Compute oracle. Bit-identical traces across worker counts is the
+/// contract.
 std::vector<double> ShardWalk(const Measure& measure, const World& world,
-                              const Dataset& donor,
-                              const DataPlaneConfig& config) {
-  evocat::testing::DataPlaneGuard guard(config);
-  auto bound =
-      std::move(measure.Bind(world.original, world.attrs)).ValueOrDie();
-  Dataset masked = world.masked.Clone();
-  auto state = bound->BindState(masked);
-  std::vector<double> scores{state->Score()};
-  Rng rng(97);
-  for (int step = 0; step < 8; ++step) {
-    auto deltas = RandomBatch(&masked, world.attrs, &rng, 5);
-    state->ApplyDelta(masked, deltas);
-    scores.push_back(state->Score());
-    if (step == 3) {
-      state->Revert();
+                              const Dataset& donor, int workers, bool check) {
+  std::vector<double> scores;
+  evocat::testing::RunOnWorkers(workers, [&] {
+    auto bound =
+        std::move(measure.Bind(world.original, world.attrs)).ValueOrDie();
+    Dataset masked = world.masked.Clone();
+    auto state = bound->BindState(masked);
+    auto record = [&](const char* what) {
       scores.push_back(state->Score());
+      if (check) {
+        EXPECT_NEAR(scores.back(), bound->Compute(masked), kTol)
+            << measure.Name() << " " << what << ", score " << scores.size();
+      }
+    };
+    record("bind");
+    Rng rng(97);
+    for (int step = 0; step < 8; ++step) {
+      Dataset before = masked.Clone();
+      auto deltas = RandomBatch(&masked, world.attrs, &rng, 5);
       state->ApplyDelta(masked, deltas);
+      record("apply");
+      if (step == 3) {
+        state->Revert();
+        std::swap(masked, before);
+        record("revert");
+        std::swap(masked, before);
+        state->ApplyDelta(masked, deltas);
+      }
     }
-  }
-  core::GenomeLayout layout(world.attrs, world.original.num_rows());
-  int64_t genome = layout.Length();
-  int64_t length = std::max<int64_t>(1, genome * 6 / 10);
-  auto segment =
-      core::CrossoverSegmentSwap(layout, donor, &masked, 0, length - 1);
-  state->ApplySegment(masked, segment);
-  scores.push_back(state->Score());
-  state->RevertSegment();
-  scores.push_back(state->Score());
+    core::GenomeLayout layout(world.attrs, world.original.num_rows());
+    int64_t genome = layout.Length();
+    int64_t length = std::max<int64_t>(1, genome * 6 / 10);
+    Dataset before = masked.Clone();
+    auto segment =
+        core::CrossoverSegmentSwap(layout, donor, &masked, 0, length - 1);
+    state->ApplySegment(masked, segment);
+    record("crossover");
+    state->RevertSegment();
+    masked = std::move(before);
+    record("crossover revert");
+  });
   return scores;
 }
 
 TEST(DeltaEvalTest, ShardCountsAreBitIdenticalIncludingRebuilds) {
-  // The legacy plane and the packed + sharded plane at shard counts 1, 3
-  // and 8 must produce the same walk bit-for-bit, including the
+  // The walk on a 1-worker scheduler (one shard, checked against Compute)
+  // and on 3- and 8-worker schedulers must agree bit-for-bit, including the
   // rebuild-sized crossover leg.
   World world = MakeWorld(91, /*rows=*/120);
   Rng donor_rng(92);
@@ -465,17 +482,13 @@ TEST(DeltaEvalTest, ShardCountsAreBitIdenticalIncludingRebuilds) {
                       .Protect(world.original, world.attrs, &donor_rng)
                       .ValueOrDie();
   for (const auto& measure : AllMeasuresForShardTests()) {
-    auto baseline = ShardWalk(*measure, world, donor, DataPlaneConfig{});
-    for (int shards : {1, 3, 8}) {
-      DataPlaneConfig config;
-      config.sharded = true;
-      config.packed = true;
-      config.shards = shards;
-      auto scores = ShardWalk(*measure, world, donor, config);
+    auto baseline = ShardWalk(*measure, world, donor, 1, /*check=*/true);
+    for (int workers : {3, 8}) {
+      auto scores = ShardWalk(*measure, world, donor, workers, false);
       ASSERT_EQ(scores.size(), baseline.size()) << measure->Name();
       for (size_t i = 0; i < scores.size(); ++i) {
         ASSERT_EQ(scores[i], baseline[i])
-            << measure->Name() << " with " << shards
+            << measure->Name() << " with " << workers
             << " shards diverged at score " << i;
       }
     }
@@ -485,19 +498,16 @@ TEST(DeltaEvalTest, ShardCountsAreBitIdenticalIncludingRebuilds) {
 TEST(DeltaEvalTest, RowsFewerThanShardsContributeIdentity) {
   // Regression for the empty-shard merge: with 5 rows and 8 shards, three
   // shard ranges are empty; they must contribute identity to every merge
-  // (finite scores, equal to the serial plane) — not NaN partials.
+  // (finite scores, equal to the one-shard walk and to Compute) — not NaN
+  // partials.
   World world = MakeWorld(95, /*rows=*/5);
   Rng donor_rng(96);
   Dataset donor = protection::Pram(0.4)
                       .Protect(world.original, world.attrs, &donor_rng)
                       .ValueOrDie();
-  DataPlaneConfig config;
-  config.sharded = true;
-  config.packed = true;
-  config.shards = 8;
   for (const auto& measure : AllMeasuresForShardTests()) {
-    auto baseline = ShardWalk(*measure, world, donor, DataPlaneConfig{});
-    auto scores = ShardWalk(*measure, world, donor, config);
+    auto baseline = ShardWalk(*measure, world, donor, 1, /*check=*/true);
+    auto scores = ShardWalk(*measure, world, donor, 8, /*check=*/true);
     ASSERT_EQ(scores.size(), baseline.size()) << measure->Name();
     for (size_t i = 0; i < scores.size(); ++i) {
       ASSERT_TRUE(std::isfinite(scores[i]))
@@ -506,6 +516,19 @@ TEST(DeltaEvalTest, RowsFewerThanShardsContributeIdentity) {
           << measure->Name() << " diverged at score " << i;
     }
   }
+}
+
+TEST(DeltaEvalTest, ShardCountFollowsTheCallersScheduler) {
+  // A job on a 1-worker scheduler must build in one shard even on a
+  // many-core host, and a 3-worker pool in three; off any worker the
+  // process-wide pool decides.
+  int on_one = 0, on_three = 0;
+  evocat::testing::RunOnWorkers(1, [&] { on_one = ResolveShardCount(); });
+  evocat::testing::RunOnWorkers(3, [&] { on_three = ResolveShardCount(); });
+  EXPECT_EQ(on_one, 1);
+  EXPECT_EQ(on_three, 3);
+  EXPECT_EQ(ResolveShardCount(),
+            std::max(1, TaskScheduler::Shared().num_workers()));
 }
 
 TEST(DeltaEvalTest, CowOffspringKeepParentStateValid) {
@@ -589,9 +612,7 @@ TEST(DeltaEvalTest, HeavySegmentFanOutOnEightWorkers) {
                                  world.original, world.attrs, options))
                        .ValueOrDie();
 
-  TaskScheduler scheduler(8);
-  TaskScheduler::Group group;
-  scheduler.Submit(&group, [&] {
+  evocat::testing::RunOnWorkers(8, [&] {
     Dataset masked = world.masked.Clone();
     auto state = evaluator->BindState(masked);
     Rng rng(93);
@@ -621,7 +642,6 @@ TEST(DeltaEvalTest, HeavySegmentFanOutOnEightWorkers) {
       }
     }
   });
-  scheduler.Wait(&group);
 }
 
 }  // namespace

@@ -7,12 +7,14 @@
 // cardinalities 1, 2 and larger skewed domains, masked groups emptied by
 // moves, RSRL windows that empty a whole candidate row, and PRL up to and
 // past the dense-pattern bound; the kernel choice is checked on both sides
-// of the cost rule and of the exactness check.
+// of the cost rule, the 32 B/row scratch budget and the exactness check,
+// and on the paper's Adult shape at 1k and 10k rows.
 
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include "common/rng.h"
 #include "datagen/generator.h"
 #include "datagen/profile.h"
+#include "experiments/dataset_case.h"
 #include "metrics/dbrl.h"
 #include "metrics/distance.h"
 #include "metrics/plane.h"
@@ -34,7 +37,7 @@ namespace {
 
 using evocat::testing::AllAttrs;
 using evocat::testing::BuildDataset;
-using evocat::testing::DataPlaneGuard;
+using evocat::testing::RunOnWorkers;
 using evocat::testing::TestAttr;
 
 uint64_t Bits(double value) {
@@ -289,20 +292,55 @@ TEST(LatticeSweepTest, KernelRuleCoversCostBudgetAndExactness) {
     MaskedGroups groups = MaskedGroups::Build(files.masked, files.attrs, 1);
     std::vector<LinkageRowBest> best;
     EXPECT_EQ(BuildLinkageBest("dbrl", lattice, LinkageSweepExact(tables),
-                               INT64_MAX, clusters, groups, tables, nullptr,
-                               &best),
+                               clusters, groups, tables, nullptr, &best),
               c.expected);
     ExpectSameLinkage(clusters, groups, tables, nullptr, best);
     std::vector<PatternHistogram> hist;
-    EXPECT_EQ(BuildPatternHistograms(lattice, INT64_MAX, clusters, groups,
-                                     &hist),
+    EXPECT_EQ(BuildPatternHistograms(lattice, clusters, groups, &hist),
               c.expected);
     ExpectSamePatterns(clusters, groups, hist);
-    // A budget below the sweep's scratch forces the fold.
-    EXPECT_EQ(BuildLinkageBest("dbrl", lattice, true,
-                               LinkageSweepBytes(lattice) - 1, clusters,
-                               groups, tables, nullptr, &best),
-              StateKernel::kFold);
+  }
+
+  // The scratch budget, on both sides: 8 binary attributes give a 256-tuple
+  // lattice whose sweep scratch is 12 B x 256 = 3,072 B and whose work
+  // (256 x 16) is below C x G. Rows are distinct tuples, so 90 rows give a
+  // 2,880 B budget (fold) and 100 rows 3,200 B (sweep).
+  std::vector<TestAttr> spec;
+  for (int k = 0; k < 8; ++k) {
+    spec.push_back(TestAttr{"b" + std::to_string(k), AttrKind::kNominal, 2});
+  }
+  auto bits = [](int64_t value) {
+    std::vector<int32_t> row;
+    for (int k = 0; k < 8; ++k) row.push_back((value >> k) & 1);
+    return row;
+  };
+  for (auto [rows, expected] : {std::pair{int64_t{90}, StateKernel::kFold},
+                                {int64_t{100}, StateKernel::kSweep}}) {
+    std::vector<std::vector<int32_t>> original_rows;
+    for (int64_t r = 0; r < rows; ++r) {
+      original_rows.push_back(bits(r * 37 % 256));
+    }
+    Dataset original = BuildDataset(spec, original_rows);
+    Dataset masked = original.Clone();
+    for (int64_t r = 0; r < rows; ++r) {
+      std::vector<int32_t> row = bits((r * 59 + 11) % 256);
+      for (int k = 0; k < 8; ++k) {
+        masked.SetCode(r, k, row[static_cast<size_t>(k)]);
+      }
+    }
+    std::vector<int> attrs = AllAttrs(original);
+    DistanceTables tables(original, attrs);
+    CodeLattice lattice = CodeLattice::Of(original, attrs);
+    ASSERT_EQ(LinkageSweepBytes(lattice), 3072);
+    PatternIndex clusters = PatternIndex::Build(original, attrs, 1);
+    MaskedGroups groups = MaskedGroups::Build(masked, attrs, 1);
+    ASSERT_LE(lattice.size() * lattice.sum_cards(),
+              clusters.num_clusters() * groups.num_groups());
+    std::vector<LinkageRowBest> best;
+    EXPECT_EQ(BuildLinkageBest("dbrl", lattice, LinkageSweepExact(tables),
+                               clusters, groups, tables, nullptr, &best),
+              expected)
+        << rows << " rows";
     ExpectSameLinkage(clusters, groups, tables, nullptr, best);
   }
 }
@@ -331,8 +369,7 @@ TEST(LatticeSweepTest, InexactTablesFailTheCheckAndFallBackToTheFold) {
   EXPECT_EQ(sweep[0].count, 3);
   std::vector<LinkageRowBest> best;
   EXPECT_EQ(BuildLinkageBest("dbrl", lattice, LinkageSweepExact(tables),
-                             INT64_MAX, clusters, groups, tables, nullptr,
-                             &best),
+                             clusters, groups, tables, nullptr, &best),
             StateKernel::kFold);
   ExpectSameLinkage(clusters, groups, tables, nullptr, best);
 
@@ -358,7 +395,7 @@ TEST(LatticeSweepTest, PaperCaseTablesAdmitTheSweep) {
   }
 }
 
-/// Scores of freshly bound DBRL/PRL/RSRL states on one plane.
+/// Scores of freshly bound DBRL/PRL/RSRL states.
 std::vector<double> StateScores(const Files& files) {
   std::vector<std::unique_ptr<Measure>> measures;
   measures.push_back(std::make_unique<DistanceBasedRecordLinkage>());
@@ -374,42 +411,69 @@ std::vector<double> StateScores(const Files& files) {
       // epsilon-tie scan and the exact min agree to the bit.
       EXPECT_EQ(Bits(score), Bits(bound->Compute(files.masked)))
           << measure->Name();
+    } else {
+      EXPECT_NEAR(score, bound->Compute(files.masked), 1e-9);
     }
     scores.push_back(score);
   }
   return scores;
 }
 
-TEST(LatticeSweepTest, StatesBuiltBySweepMatchOnBothPlanes) {
-  auto& registry = obs::MetricsRegistry::Global();
+int64_t StateBuilds(const char* measure, const char* kernel) {
+  return obs::MetricsRegistry::Global().CounterValue(
+      "evocat_delta_state_builds_total",
+      {{"measure", measure}, {"kernel", kernel}});
+}
+
+TEST(LatticeSweepTest, StatesBuiltBySweepMatchTheOracleOnAnyShardCount) {
   auto sweeps = [&] {
-    int64_t total = 0;
-    for (const char* measure : {"dbrl", "prl", "rsrl"}) {
-      total += registry.CounterValue("evocat_delta_state_builds_total",
-                                     {{"measure", measure}, {"kernel", "sweep"}});
-    }
-    return total;
+    return StateBuilds("dbrl", "sweep") + StateBuilds("prl", "sweep") +
+           StateBuilds("rsrl", "sweep");
   };
   Rng rng(1306);
   for (int trial = 0; trial < 6; ++trial) {
     Files files = RandomFiles(&rng, {6, 3, 4}, 300, 0.4);
     int64_t before = sweeps();
-    std::vector<double> legacy;
-    {
-      DataPlaneGuard guard(DataPlaneConfig{});
-      legacy = StateScores(files);
-    }
-    DataPlaneConfig sharded;
-    sharded.sharded = true;
-    sharded.shards = 3;
-    DataPlaneGuard guard(sharded);
-    std::vector<double> clustered = StateScores(files);
-    ASSERT_EQ(legacy.size(), clustered.size());
-    for (size_t m = 0; m < legacy.size(); ++m) {
-      EXPECT_EQ(Bits(legacy[m]), Bits(clustered[m])) << "measure " << m;
+    std::vector<double> one_shard, three_shards;
+    RunOnWorkers(1, [&] { one_shard = StateScores(files); });
+    RunOnWorkers(3, [&] { three_shards = StateScores(files); });
+    ASSERT_EQ(one_shard.size(), three_shards.size());
+    for (size_t m = 0; m < one_shard.size(); ++m) {
+      EXPECT_EQ(Bits(one_shard[m]), Bits(three_shards[m])) << "measure " << m;
     }
     // 300 rows over a 72-tuple lattice: every build takes the sweep.
     EXPECT_EQ(sweeps() - before, 6);
+  }
+}
+
+TEST(LatticeSweepTest, AdultShapedLinkageBindsTakeTheSweep) {
+  // Adult's lattice has L = 16 x 7 x 14 = 1,568 tuples, so the linkage
+  // sweep needs 12 B x L = 18,816 B of scratch: within the 32 B/row budget
+  // at 1,000 rows and beyond. A per-state budget below 19 B/row would put
+  // every DBRL and RSRL build of the paper's Adult case on the fold.
+  auto adult = experiments::AdultCase().profile;
+  auto scaled = datagen::AdultProfile();
+  scaled.num_records = 10000;
+  for (const auto& profile : {adult, scaled}) {
+    SCOPED_TRACE(std::to_string(profile.num_records) + " rows");
+    Dataset original = datagen::Generate(profile, 11).ValueOrDie();
+    std::vector<int> attrs =
+        datagen::ProtectedAttributeIndices(profile, original).ValueOrDie();
+    Rng pram_rng(12);
+    Dataset masked = protection::Pram(0.5)
+                         .Protect(original, attrs, &pram_rng)
+                         .ValueOrDie();
+    for (const auto& [name, measure] :
+         {std::pair<const char*, std::shared_ptr<Measure>>{
+              "dbrl", std::make_shared<DistanceBasedRecordLinkage>()},
+          {"rsrl", std::make_shared<RankSwappingRecordLinkage>(15.0)}}) {
+      int64_t sweeps = StateBuilds(name, "sweep");
+      int64_t folds = StateBuilds(name, "fold");
+      auto bound = std::move(measure->Bind(original, attrs)).ValueOrDie();
+      bound->BindState(masked);
+      EXPECT_EQ(StateBuilds(name, "sweep"), sweeps + 1) << name;
+      EXPECT_EQ(StateBuilds(name, "fold"), folds) << name;
+    }
   }
 }
 

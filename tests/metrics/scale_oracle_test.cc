@@ -1,17 +1,22 @@
-// Scale-parameterized oracle harness: every measure runs the same seeded
-// (operator-sequence, seed) walk twice — once on the legacy row-oriented
-// plane (the oracle) and once on the packed + sharded plane — at 1k, 10k
-// and (behind the *Scale100k* filter, ctest label `scale`) 100k rows. The
-// two traces must agree bit-for-bit on every intermediate score, through
-// reverts and a rebuild-sized segment, and both paths must finish with the
-// RNG at the same draw count (neither may consume extra randomness). At 1k
-// the oracle trace is additionally cross-checked against from-scratch
-// Compute() calls.
+// Scale-parameterized oracle harness: every measure runs a seeded
+// (operator-sequence, seed) walk of mutation batches, reverts and a
+// rebuild-sized leg at 1k, 10k and (behind the *Scale100k* filter, ctest
+// label `scale`) 100k rows. The walk's scores are checked against an
+// independent oracle: the O(n^2) from-scratch Compute() after every step at
+// 1k and after every fourth step at 10k; at 100k, where Compute is out of
+// reach, every step is checked bit for bit against a freshly bound state of
+// the post-image. The checked walk runs on the calling thread (the
+// process-wide pool, so the O(n^2) oracle fans out across every core); the
+// same walk then replays on 1-, 3- and 8-worker schedulers (one shard per
+// worker): every intermediate score and the RNG's final draw must agree bit
+// for bit, so neither the shard count nor the worker pool changes a result
+// or consumes extra randomness.
 
 #include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -32,8 +37,8 @@ namespace evocat {
 namespace metrics {
 namespace {
 
-using evocat::testing::DataPlaneGuard;
 using evocat::testing::MakeScaleWorld;
+using evocat::testing::RunOnWorkers;
 using evocat::testing::ScaleWorld;
 
 std::vector<std::unique_ptr<Measure>> AllMeasures() {
@@ -50,7 +55,7 @@ std::vector<std::unique_ptr<Measure>> AllMeasures() {
 
 /// Draws a batch of 1..max_cells distinct-cell changes, applies them to
 /// `masked` and returns the deltas. Identical RNG state in = identical
-/// batch out, which is what lets two planes replay the same walk.
+/// batch out, which is what lets every scheduler replay the same walk.
 std::vector<CellDelta> DrawBatch(Dataset* masked,
                                  const std::vector<int>& attrs, Rng* rng,
                                  int max_cells) {
@@ -79,17 +84,35 @@ std::vector<CellDelta> DrawBatch(Dataset* masked,
   return deltas;
 }
 
-/// One full walk of a measure under the given data plane: every score the
-/// state reports (after each apply, each revert, the forced rebuild and its
-/// revert) plus the RNG's next draw at the end.
+/// One full walk of a measure: every score the state reports (after each
+/// apply, each revert, the forced rebuild and its revert) plus the RNG's
+/// next draw at the end.
 struct Trace {
   std::vector<double> scores;
   uint64_t final_draw = 0;
 };
 
+/// The independent reference a walk's scores are checked against.
+enum class Oracle {
+  kNone,       ///< unchecked replay (the shard-determinism legs)
+  kCompute,    ///< O(n^2) from-scratch Compute(), within 1e-9
+  kFreshBind,  ///< a freshly bound state of the post-image, bit for bit
+};
+
+/// Checks `state`'s score against `oracle` on the current `masked` file.
+void CheckStep(const BoundMeasure& bound, const MeasureState& state,
+               const Dataset& masked, Oracle oracle, const std::string& where) {
+  if (oracle == Oracle::kCompute) {
+    EXPECT_NEAR(state.Score(), bound.Compute(masked), 1e-9) << where;
+  } else if (oracle == Oracle::kFreshBind) {
+    EXPECT_EQ(state.Score(), bound.BindState(masked)->Score()) << where;
+  }
+}
+
+/// Runs the walk; `oracle` checks the initial score, the rebuild leg and
+/// every `check_every`-th step.
 Trace RunWalk(const Measure& measure, const ScaleWorld& world, uint64_t seed,
-              int steps, const DataPlaneConfig& config, bool cross_check) {
-  DataPlaneGuard guard(config);
+              int steps, Oracle oracle, int check_every) {
   auto bound =
       std::move(measure.Bind(world.original, world.attrs)).ValueOrDie();
   Dataset masked = world.masked.Clone();
@@ -97,19 +120,16 @@ Trace RunWalk(const Measure& measure, const ScaleWorld& world, uint64_t seed,
 
   Trace trace;
   trace.scores.push_back(state->Score());
-  if (cross_check) {
-    EXPECT_NEAR(state->Score(), bound->Compute(masked), 1e-9)
-        << measure.Name() << " initial";
-  }
+  CheckStep(*bound, *state, masked, oracle, measure.Name() + " initial");
 
   Rng rng(seed);
   for (int step = 0; step < steps; ++step) {
     auto deltas = DrawBatch(&masked, world.attrs, &rng, 4);
     state->ApplyDelta(masked, deltas);
     trace.scores.push_back(state->Score());
-    if (cross_check) {
-      EXPECT_NEAR(state->Score(), bound->Compute(masked), 1e-9)
-          << measure.Name() << " step " << step;
+    if (step % check_every == check_every - 1) {
+      CheckStep(*bound, *state, masked, oracle,
+                measure.Name() + " step " + std::to_string(step));
     }
     if (step % 3 == 2) {
       state->Revert();
@@ -126,6 +146,7 @@ Trace RunWalk(const Measure& measure, const ScaleWorld& world, uint64_t seed,
   auto deltas = DrawBatch(&masked, world.attrs, &rng, 4);
   state->ApplyDelta(masked, deltas);
   trace.scores.push_back(state->Score());
+  CheckStep(*bound, *state, masked, oracle, measure.Name() + " rebuild leg");
   state->Revert();
   masked = std::move(before);
   trace.scores.push_back(state->Score());
@@ -134,41 +155,40 @@ Trace RunWalk(const Measure& measure, const ScaleWorld& world, uint64_t seed,
   return trace;
 }
 
-void RunScaleOracle(int64_t rows, int steps) {
+/// Checked walk on the calling thread, then unchecked replays on 1, 3 and 8
+/// workers that must match it bit for bit.
+void RunScaleOracle(int64_t rows, int steps, Oracle oracle, int check_every) {
   ScaleWorld world = MakeScaleWorld(rows, 7000 + static_cast<uint64_t>(rows));
-  DataPlaneConfig oracle_plane;  // legacy row-oriented path
-  DataPlaneConfig fast_plane;
-  fast_plane.sharded = true;
-  fast_plane.packed = true;
-  fast_plane.shards = 8;
-
   for (const auto& measure : AllMeasures()) {
     uint64_t seed = 900 + static_cast<uint64_t>(rows);
-    Trace oracle = RunWalk(*measure, world, seed, steps, oracle_plane,
-                           /*cross_check=*/rows <= 1000);
-    Trace fast = RunWalk(*measure, world, seed, steps, fast_plane,
-                         /*cross_check=*/false);
-    ASSERT_EQ(oracle.scores.size(), fast.scores.size()) << measure->Name();
-    for (size_t i = 0; i < oracle.scores.size(); ++i) {
-      ASSERT_EQ(oracle.scores[i], fast.scores[i])
-          << measure->Name() << " at " << rows << " rows diverged at score "
-          << i << " (abs diff "
-          << std::abs(oracle.scores[i] - fast.scores[i]) << ")";
+    Trace checked =
+        RunWalk(*measure, world, seed, steps, oracle, check_every);
+    for (int workers : {1, 3, 8}) {
+      Trace replay;
+      RunOnWorkers(workers, [&] {
+        replay = RunWalk(*measure, world, seed, steps, Oracle::kNone, 1);
+      });
+      ASSERT_EQ(checked.scores.size(), replay.scores.size())
+          << measure->Name();
+      for (size_t i = 0; i < checked.scores.size(); ++i) {
+        ASSERT_EQ(checked.scores[i], replay.scores[i])
+            << measure->Name() << " at " << rows << " rows on " << workers
+            << " workers diverged at score " << i << " (abs diff "
+            << std::abs(checked.scores[i] - replay.scores[i]) << ")";
+      }
+      EXPECT_EQ(checked.final_draw, replay.final_draw)
+          << measure->Name() << " consumed a different number of RNG draws";
     }
-    EXPECT_EQ(oracle.final_draw, fast.final_draw)
-        << measure->Name() << " consumed a different number of RNG draws";
   }
 }
 
-/// Fitness-level walk under `config`: the aggregated score after every
-/// apply/revert, with optional per-step cross-checks against a from-scratch
-/// Evaluate. `probed` (optional) receives the evaluator's probe report.
+/// Fitness-level walk: the aggregated score after every apply/revert, with
+/// optional per-step cross-checks against a from-scratch Evaluate.
+/// `probed` (optional) receives the evaluator's probe report.
 std::vector<double> RunFitnessWalk(
     const ScaleWorld& world, uint64_t seed, int steps,
-    const DataPlaneConfig& config, const FitnessEvaluator::Options& options,
-    bool cross_check,
+    const FitnessEvaluator::Options& options, bool cross_check,
     std::vector<std::pair<std::string, double>>* probed) {
-  DataPlaneGuard guard(config);
   auto evaluator =
       std::move(FitnessEvaluator::Create(world.original, world.attrs, options))
           .ValueOrDie();
@@ -203,16 +223,12 @@ std::vector<double> RunFitnessWalk(
 // each of the seven measures.
 TEST(ScaleOracleTest, ProbeOnFitnessWalkStaysExact) {
   ScaleWorld world = MakeScaleWorld(1000, 7001);
-  DataPlaneConfig fast_plane;
-  fast_plane.sharded = true;
-  fast_plane.packed = true;
-  fast_plane.shards = 8;
   FitnessEvaluator::Options options;
   options.prl_em_iterations = 10;
   options.probe_rebuild_fractions = true;
   std::vector<std::pair<std::string, double>> probed;
-  RunFitnessWalk(world, 901, /*steps=*/9, fast_plane, options,
-                 /*cross_check=*/true, &probed);
+  RunFitnessWalk(world, 901, /*steps=*/9, options, /*cross_check=*/true,
+                 &probed);
   ASSERT_EQ(probed.size(), 7u);
   for (const auto& [name, fraction] : probed) {
     EXPECT_GE(fraction, 0.01) << name;
@@ -225,21 +241,16 @@ TEST(ScaleOracleTest, ProbeOnFitnessWalkStaysExact) {
 // the probe reports nothing.
 TEST(ScaleOracleTest, ProbeWithPinnedFractionsReplaysBitIdentically) {
   ScaleWorld world = MakeScaleWorld(1000, 7001);
-  DataPlaneConfig fast_plane;
-  fast_plane.sharded = true;
-  fast_plane.packed = true;
-  fast_plane.shards = 8;
   FitnessEvaluator::Options pinned;
   pinned.prl_em_iterations = 10;
   pinned.delta_rebuild_fraction = 0.4;  // pins every measure
   FitnessEvaluator::Options pinned_probe = pinned;
   pinned_probe.probe_rebuild_fractions = true;
   std::vector<std::pair<std::string, double>> probed;
-  std::vector<double> base = RunFitnessWalk(world, 902, /*steps=*/9,
-                                            fast_plane, pinned,
+  std::vector<double> base = RunFitnessWalk(world, 902, /*steps=*/9, pinned,
                                             /*cross_check=*/false, nullptr);
   std::vector<double> with_probe =
-      RunFitnessWalk(world, 902, /*steps=*/9, fast_plane, pinned_probe,
+      RunFitnessWalk(world, 902, /*steps=*/9, pinned_probe,
                      /*cross_check=*/false, &probed);
   ASSERT_EQ(base.size(), with_probe.size());
   for (size_t i = 0; i < base.size(); ++i) {
@@ -249,17 +260,17 @@ TEST(ScaleOracleTest, ProbeWithPinnedFractionsReplaysBitIdentically) {
 }
 
 TEST(ScaleOracleTest, AllMeasuresBitIdentical1k) {
-  RunScaleOracle(1000, /*steps=*/12);
+  RunScaleOracle(1000, /*steps=*/12, Oracle::kCompute, /*check_every=*/1);
 }
 
 TEST(ScaleOracleTest, AllMeasuresBitIdentical10k) {
-  RunScaleOracle(10000, /*steps=*/9);
+  RunScaleOracle(10000, /*steps=*/9, Oracle::kCompute, /*check_every=*/4);
 }
 
 // Registered as its own ctest entry (metrics/scale_oracle_100k, label
 // `scale`); the tier-1 entry filters it out.
 TEST(ScaleOracleTest, AllMeasuresBitIdenticalScale100k) {
-  RunScaleOracle(100000, /*steps=*/6);
+  RunScaleOracle(100000, /*steps=*/6, Oracle::kFreshBind, /*check_every=*/1);
 }
 
 }  // namespace

@@ -10,11 +10,11 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/task_scheduler.h"
 #include "data/dataset.h"
 #include "data/schema.h"
 #include "datagen/generator.h"
 #include "datagen/profile.h"
-#include "metrics/plane.h"
 #include "protection/pram.h"
 
 namespace evocat {
@@ -66,21 +66,18 @@ inline int64_t CountDiffs(const Dataset& x, const Dataset& y,
   return diffs;
 }
 
-/// \brief RAII override of the process-wide data-plane configuration:
-/// installs `config` for the scope, restores the previous plane on exit.
-class DataPlaneGuard {
- public:
-  explicit DataPlaneGuard(const metrics::DataPlaneConfig& config)
-      : saved_(metrics::GetDataPlane()) {
-    metrics::SetDataPlane(config);
-  }
-  ~DataPlaneGuard() { metrics::SetDataPlane(saved_); }
-  DataPlaneGuard(const DataPlaneGuard&) = delete;
-  DataPlaneGuard& operator=(const DataPlaneGuard&) = delete;
-
- private:
-  metrics::DataPlaneConfig saved_;
-};
+/// \brief Runs `fn` on a worker of a private `workers`-thread scheduler and
+/// waits for it. State builds inside resolve to `workers` shards
+/// (`metrics::ResolveShardCount`) and their parallel loops split across
+/// exactly that pool, which is how the shard-determinism tests vary the
+/// shard count.
+template <typename Fn>
+void RunOnWorkers(int workers, Fn&& fn) {
+  TaskScheduler scheduler(workers);
+  TaskScheduler::Group group;
+  scheduler.Submit(&group, [&] { fn(); });
+  scheduler.Wait(&group);
+}
 
 /// \brief An (original, masked, protected-attrs) fixture at any record
 /// count: the Adult-shaped synthetic profile scaled to `rows` and perturbed
